@@ -1,13 +1,14 @@
-//! Session API — incremental re-validation vs. rebuild-per-edit.
+//! Session edits — incremental re-validation vs. rebuild-per-edit.
 //!
-//! The edit-heavy workload the Session API exists for: one 65k-node
+//! The edit-heavy workload sessions exist for: one 65k-node
 //! multi-constraint document, a stream of point edits (attribute rewrites,
 //! element insertions, subtree removals), and a verdict wanted after every
 //! edit.  Two strategies are timed end to end:
 //!
 //! 1. **session (incremental)** — apply each edit through
-//!    `Session::apply`, which maintains the `IncrementalIndex` in O(edit)
-//!    and extracts the verdict from per-constraint caches;
+//!    `CorpusSession::apply`, which maintains the `IncrementalIndex` in
+//!    O(edit), then ask `CorpusSession::verdict`, which extracts the
+//!    verdict from per-constraint caches;
 //! 2. **rebuild per edit** — apply the same edit to a twin tree, then do
 //!    what the one-shot API would: build a fresh `DocIndex` and check Σ.
 //!
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use xic_bench::{fmt_us, min_time};
 use xic_constraints::{DocIndex, IndexPlan};
-use xic_engine::{CompiledSpec, Session};
+use xic_engine::{CompiledSpec, CorpusSession};
 use xic_gen::{
     catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
 };
@@ -98,11 +99,12 @@ fn main() {
 
     // Verdict identity along the whole edit stream before any timing.
     {
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree.clone());
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open("catalogue", tree.clone()).unwrap();
         let mut twin = tree.clone();
         for op in &ops {
-            let verdict = session.apply(doc, std::slice::from_ref(op)).unwrap();
+            session.apply(doc, std::slice::from_ref(op)).unwrap();
+            let verdict = session.verdict(doc).unwrap();
             twin.apply_edit(op).unwrap();
             let rebuilt = DocIndex::build(spec.dtd(), &twin, &plan).check_all(spec.sigma());
             assert_eq!(
@@ -113,10 +115,11 @@ fn main() {
         }
     }
 
-    // Opening cost (index build) is paid once per document, not per edit.
+    // Opening cost (index build plus the recovery snapshot of a pre-built
+    // tree) is paid once per document, not per edit.
     let open_cost = min_time(3, || {
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree.clone());
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open("catalogue", tree.clone()).unwrap();
         std::hint::black_box(session.verdict(doc).unwrap());
     });
 
@@ -133,8 +136,8 @@ fn main() {
     let measure_edit_loop = || {
         let mut prepared: Vec<_> = (0..RUNS)
             .map(|_| {
-                let mut session = Session::new(&spec);
-                let doc = session.open(tree.clone());
+                let mut session = CorpusSession::new(&spec);
+                let doc = session.open("catalogue", tree.clone()).unwrap();
                 session.verdict(doc).unwrap();
                 (session, doc)
             })
@@ -143,7 +146,8 @@ fn main() {
         let best = min_time(RUNS, || {
             let (mut session, doc) = prepared.pop().expect("one prepared session per run");
             for op in &ops {
-                std::hint::black_box(session.apply(doc, std::slice::from_ref(op)).unwrap());
+                session.apply(doc, std::slice::from_ref(op)).unwrap();
+                std::hint::black_box(session.verdict(doc).unwrap());
             }
             edited.push(session);
         });

@@ -22,7 +22,7 @@
 use std::time::Duration;
 
 use xic_bench::{fmt_us, min_time};
-use xic_engine::{CompiledSpec, Session};
+use xic_engine::{CompiledSpec, CorpusSession};
 use xic_gen::{
     catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
 };
@@ -100,10 +100,11 @@ fn main() {
     // Verdict identity along the whole stream before any timing: the
     // incremental replica and the re-parse path agree on every update.
     {
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree.clone());
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open("catalogue", tree.clone()).unwrap();
         for op in &ops {
-            let verdict = session.apply(doc, std::slice::from_ref(op)).unwrap();
+            session.apply(doc, std::slice::from_ref(op)).unwrap();
+            let verdict = session.verdict(doc).unwrap();
             let source = write_document(session.tree(doc).unwrap(), spec.dtd());
             let reparsed = spec
                 .parse_document(&source)
@@ -118,25 +119,25 @@ fn main() {
     }
 
     // One-shot costs: persist the opened document, then cold-recover it.
-    let mut session = Session::new(&spec);
-    let doc = session.open(tree.clone());
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("catalogue", tree.clone()).unwrap();
     let persist = min_time(3, || {
         std::fs::remove_file(&log).ok();
         std::hint::black_box(session.persist_to(doc, &log).expect("persist"));
     });
     let recover = min_time(3, || {
-        let mut fresh = Session::new(&spec);
-        let recovery = fresh.recover_from(&log).expect("recover");
+        let mut fresh = CorpusSession::new(&spec);
+        let recovery = fresh.recover_from("catalogue", &log).expect("recover");
         std::hint::black_box(fresh.verdict(recovery.handle).unwrap());
     });
 
     // Incremental side: a recovered replica session applying the op
     // stream (index maintenance + verdict per update).
     let measure_replay = || {
-        let mut prepared: Vec<(Session<'_>, _)> = (0..RUNS)
+        let mut prepared: Vec<(CorpusSession<'_>, _)> = (0..RUNS)
             .map(|_| {
-                let mut s = Session::new(&spec);
-                let recovery = s.recover_from(&log).expect("recover");
+                let mut s = CorpusSession::new(&spec);
+                let recovery = s.recover_from("catalogue", &log).expect("recover");
                 (s, recovery.handle)
             })
             .collect();
@@ -144,7 +145,8 @@ fn main() {
         let best = min_time(RUNS, || {
             let (mut s, handle) = prepared.pop().expect("one prepared session per run");
             for op in &ops {
-                std::hint::black_box(s.apply(handle, std::slice::from_ref(op)).unwrap());
+                s.apply(handle, std::slice::from_ref(op)).unwrap();
+                std::hint::black_box(s.verdict(handle).unwrap());
             }
             edited.push(s);
         });

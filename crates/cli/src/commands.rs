@@ -23,7 +23,7 @@ use xic_dtd::{analyze, parse_dtd, Dtd};
 use xic_engine::journal::{inspect_log, read_delta_log, write_delta_log};
 use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusReplica, CorpusSession,
-    Engine, EngineMetrics, Limits, SessionError, SpecId,
+    DocHandle, Engine, EngineMetrics, Limits, SessionError, SpecId,
 };
 use xic_server::{Client, ClientError, Server, ServerConfig};
 use xic_telemetry::RegistrySnapshot;
@@ -673,158 +673,6 @@ fn load_manifest(manifest_path: &str) -> Result<Vec<BatchDoc>, CliError> {
     Ok(docs)
 }
 
-/// Drives a [`CorpusSession`] from an edit script: the shared engine
-/// behind `xic batch --session` and `xic journal record`.
-///
-/// The manifest documents (if any) are opened first; the script then
-/// issues one directive per line (blank lines and `#` comments skipped;
-/// `<node>` is a node id as printed in JSON witnesses):
-///
-/// ```text
-/// open   <label> <path>            # parse a document and open it
-/// set    <label> <node> <attr> <value…>
-/// add    <label> <parent-node> <element-type>
-/// text   <label> <parent-node> <value…>
-/// remove <label> <node>
-/// close  <label>
-/// commit                           # emit the delta since the last commit
-/// ```
-///
-/// Every `commit` emits one delta (only edited documents are re-checked); a
-/// trailing commit is implied if the script ends with uncommitted actions.
-/// This script syntax is the human-readable twin of the binary journal:
-/// `xic journal record` turns a run of it into a delta log, and
-/// `xic journal inspect` renders op records back in the same syntax.
-fn run_session_script<'s>(
-    spec: &'s CompiledSpec,
-    docs: Vec<BatchDoc>,
-    script_path: &str,
-    limits: Limits,
-) -> Result<(CorpusSession<'s>, Vec<BatchDelta>), CliError> {
-    let script = read_file(script_path)?;
-    let base = Path::new(script_path)
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_default();
-
-    let mut corpus = CorpusSession::with_limits(spec, limits);
-    for doc in docs {
-        corpus
-            .open_source(&doc.label, &doc.content)
-            .map_err(|e| session_error(&doc.label, &e))?;
-    }
-    let mut pending = corpus.num_docs() > 0;
-    let mut deltas: Vec<BatchDelta> = Vec::new();
-
-    for (lineno, line) in script.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |msg: String| CliError::Usage(format!("{script_path}:{}: {msg}", lineno + 1));
-        let mut words = line.split_whitespace();
-        let directive = words.next().expect("non-empty line has a first word");
-        match directive {
-            "commit" => {
-                // `try_commit` honors the session deadline; an aborted
-                // commit keeps its progress staged, but a script cannot
-                // retry on its own, so the rejection surfaces as exit 3.
-                let delta = corpus.try_commit().map_err(|e| {
-                    CliError::Resource(format!("{script_path}:{}: {e}", lineno + 1))
-                })?;
-                deltas.push(delta);
-                pending = false;
-                continue;
-            }
-            "open" => {
-                let label = words
-                    .next()
-                    .ok_or_else(|| err("`open` expects a label".into()))?;
-                let path = words
-                    .next()
-                    .ok_or_else(|| err("`open` expects a path".into()))?;
-                let content = read_file(&base.join(path).to_string_lossy())?;
-                corpus
-                    .open_source(label, &content)
-                    .map_err(|e| session_error(label, &e))?;
-                pending = true;
-                continue;
-            }
-            _ => {}
-        }
-        // Everything else targets an open document by label.
-        let label = words
-            .next()
-            .ok_or_else(|| err(format!("`{directive}` expects a document label")))?;
-        let handle = corpus
-            .handle_by_label(label)
-            .ok_or_else(|| err(format!("no open document labelled `{label}`")))?;
-        let mut node_arg = |what: &str| -> Result<NodeId, CliError> {
-            let word = words
-                .next()
-                .ok_or_else(|| err(format!("`{directive}` expects a {what} node id")))?;
-            word.parse::<u32>()
-                .map(NodeId)
-                .map_err(|_| err(format!("`{word}` is not a node id")))
-        };
-        let op = match directive {
-            "set" => {
-                let element = node_arg("target")?;
-                let attr_name = words
-                    .next()
-                    .ok_or_else(|| err("`set` expects an attribute name".into()))?;
-                let attr = spec
-                    .dtd()
-                    .attr_by_name(attr_name)
-                    .ok_or_else(|| err(format!("unknown attribute `{attr_name}`")))?;
-                let value = words.collect::<Vec<_>>().join(" ");
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value,
-                }
-            }
-            "add" => {
-                let parent = node_arg("parent")?;
-                let ty_name = words
-                    .next()
-                    .ok_or_else(|| err("`add` expects an element type".into()))?;
-                let ty = spec
-                    .dtd()
-                    .type_by_name(ty_name)
-                    .ok_or_else(|| err(format!("unknown element type `{ty_name}`")))?;
-                EditOp::AddElement { parent, ty }
-            }
-            "text" => EditOp::AddText {
-                parent: node_arg("parent")?,
-                value: words.collect::<Vec<_>>().join(" "),
-            },
-            "remove" => EditOp::RemoveSubtree {
-                element: node_arg("target")?,
-            },
-            "close" => {
-                corpus
-                    .close(handle)
-                    .map_err(|e| CliError::Document(e.to_string()))?;
-                pending = true;
-                continue;
-            }
-            other => return Err(err(format!("unknown directive `{other}`"))),
-        };
-        corpus
-            .apply(handle, std::slice::from_ref(&op))
-            .map_err(|e| session_error(&format!("{script_path}:{}: {label}", lineno + 1), &e))?;
-        pending = true;
-    }
-    if pending {
-        let delta = corpus
-            .try_commit()
-            .map_err(|e| CliError::Resource(format!("{script_path}: final commit: {e}")))?;
-        deltas.push(delta);
-    }
-    Ok((corpus, deltas))
-}
-
 /// How a delta stream should be presented: the command identity, extra
 /// JSON fields, and text-mode options (see [`render_delta_stream`]).
 struct DeltaStreamView<'a> {
@@ -939,11 +787,11 @@ fn render_delta_stream(
     CommandOutcome::new(report, code)
 }
 
-/// `xic batch --session SCRIPT` — replay an edit script over a corpus
-/// session and report the [`BatchDelta`] of every commit (see
-/// [`run_session_script`] for the directive syntax).  With `--format json`
-/// the outcome is one object carrying the `deltas` stream and the final
-/// per-document `reports`.
+/// `xic batch --session SCRIPT` — replay an edit script over an
+/// in-process [`CorpusSession`] and report the [`BatchDelta`] of every
+/// commit (see [`run_script`] for the directive syntax).  With
+/// `--format json` the outcome is one object carrying the `deltas` stream
+/// and the final per-document `reports`.
 #[allow(clippy::too_many_arguments)]
 fn batch_session(
     spec: &CompiledSpec,
@@ -954,7 +802,8 @@ fn batch_session(
     quiet: bool,
     metrics: bool,
 ) -> Result<CommandOutcome, CliError> {
-    let (corpus, deltas) = run_session_script(spec, docs, script_path, limits)?;
+    let mut corpus = CorpusSession::with_limits(spec, limits);
+    let deltas = run_script(spec, &mut corpus, &docs, script_path)?;
     let final_report = corpus.report();
     Ok(render_delta_stream(
         &DeltaStreamView {
@@ -1009,7 +858,8 @@ fn journal_record(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     };
     let script_path = args.require("script")?;
     let log_path = args.require("log")?;
-    let (corpus, deltas) = run_session_script(&spec, docs, script_path, limits_from_args(args)?)?;
+    let mut corpus = CorpusSession::with_limits(&spec, limits_from_args(args)?);
+    let deltas = run_script(&spec, &mut corpus, &docs, script_path)?;
     let receipt = write_delta_log(log_path, spec.id(), &deltas)
         .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
     let final_report = corpus.report();
@@ -1354,14 +1204,42 @@ fn dial(args: &ParsedArgs, spec: SpecId, session: &str) -> Result<Client, CliErr
     }
 }
 
-/// The session surface the shared `--script` grammar drives: a wire
+/// The session surface the shared script grammar drives: an in-process
+/// [`CorpusSession`] (`xic batch --session`, `xic journal record`), a wire
 /// [`Client`] (`xic connect`) or a multi-process [`Coordinator`]
-/// (`xic coord`) — one grammar, one runner, two transports.
+/// (`xic coord`) — one grammar, one runner, three backends.
 trait ScriptTarget {
     fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError>;
     fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError>;
     fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError>;
     fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError>;
+}
+
+impl ScriptTarget for CorpusSession<'_> {
+    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
+        CorpusSession::open_source(self, label, source)
+            .map(DocHandle::raw)
+            .map_err(|e| session_error(ctx, &e))
+    }
+
+    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError> {
+        CorpusSession::apply(self, DocHandle::from_raw(handle), std::slice::from_ref(op))
+            .map_err(|e| session_error(ctx, &e))
+    }
+
+    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError> {
+        CorpusSession::close(self, DocHandle::from_raw(handle))
+            .map(|_| ())
+            .map_err(|e| session_error(ctx, &e))
+    }
+
+    /// `try_commit` honors the session deadline; an aborted commit keeps
+    /// its progress staged, but a script cannot retry on its own, so the
+    /// rejection surfaces as exit 3.
+    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
+        self.try_commit()
+            .map_err(|e| CliError::Resource(format!("{ctx}: {e}")))
+    }
 }
 
 impl ScriptTarget for Client {
@@ -1406,14 +1284,38 @@ impl ScriptTarget for Coordinator {
     }
 }
 
-/// Drives the shared `--script` directive syntax (see
-/// [`run_session_script`]) against a remote session: every directive
-/// becomes one request and every `commit` collects the acknowledged
-/// [`BatchDelta`].  A trailing commit is implied, exactly as in the local
-/// runner, so the same script produces the same delta stream either way.
-fn run_remote_script(
+/// Drives an edit script against any [`ScriptTarget`] — the one script
+/// runner behind `xic batch --session`, `xic journal record`,
+/// `xic connect --script` and `xic coord`, so the same script produces the
+/// same delta stream on every backend.
+///
+/// The `docs` (a `--manifest`, if any) are opened first, each under its
+/// manifest entry as label; the script then gives one directive per line
+/// (blank lines and `#` comments skipped; `<node>` is a node id as printed
+/// in JSON witnesses):
+///
+/// ```text
+/// open   <label> <path>            # parse a document and open it
+/// set    <label> <node> <attr> <value…>
+/// add    <label> <parent-node> <element-type>
+/// text   <label> <parent-node> <value…>
+/// remove <label> <node>
+/// close  <label>
+/// commit                           # emit the delta since the last commit
+/// ```
+///
+/// A label names the document most recently opened under it: reopening a
+/// label rebinds it (the earlier document stays open, reachable by no
+/// directive), and `close` unbinds it.  Every `commit` emits one delta
+/// (only edited documents are re-checked); a trailing commit is implied if
+/// the script ends with uncommitted actions.  This script syntax is the
+/// human-readable twin of the binary journal: `xic journal record` turns a
+/// run of it into a delta log, and `xic journal inspect` renders op records
+/// back in the same syntax.
+fn run_script(
     spec: &CompiledSpec,
-    client: &mut impl ScriptTarget,
+    target: &mut impl ScriptTarget,
+    docs: &[BatchDoc],
     script_path: &str,
 ) -> Result<Vec<BatchDelta>, CliError> {
     let script = read_file(script_path)?;
@@ -1423,8 +1325,12 @@ fn run_remote_script(
         .unwrap_or_default();
 
     let mut handles: HashMap<String, u64> = HashMap::new();
+    for doc in docs {
+        let handle = target.open_doc(&doc.label, &doc.label, &doc.content)?;
+        handles.insert(doc.label.clone(), handle);
+    }
     let mut deltas: Vec<BatchDelta> = Vec::new();
-    let mut pending = false;
+    let mut pending = !docs.is_empty();
 
     for (lineno, line) in script.lines().enumerate() {
         let line = line.trim();
@@ -1437,7 +1343,7 @@ fn run_remote_script(
         let directive = words.next().expect("non-empty line has a first word");
         match directive {
             "commit" => {
-                let delta = client.commit(&ctx)?;
+                let delta = target.commit(&ctx)?;
                 deltas.push(delta);
                 pending = false;
                 continue;
@@ -1450,22 +1356,20 @@ fn run_remote_script(
                     .next()
                     .ok_or_else(|| err("`open` expects a path".into()))?;
                 let content = read_file(&base.join(path).to_string_lossy())?;
-                let handle = client.open_doc(&ctx, label, &content)?;
+                let handle = target.open_doc(&ctx, label, &content)?;
                 handles.insert(label.to_string(), handle);
                 pending = true;
                 continue;
             }
             _ => {}
         }
-        // Everything else targets a document opened by this script.
+        // Everything else targets an open document by label.
         let label = words
             .next()
             .ok_or_else(|| err(format!("`{directive}` expects a document label")))?;
-        let &handle = handles.get(label).ok_or_else(|| {
-            err(format!(
-                "no document labelled `{label}` opened by this script"
-            ))
-        })?;
+        let &handle = handles
+            .get(label)
+            .ok_or_else(|| err(format!("no open document labelled `{label}`")))?;
         let mut node_arg = |what: &str| -> Result<NodeId, CliError> {
             let word = words
                 .next()
@@ -1510,18 +1414,18 @@ fn run_remote_script(
                 element: node_arg("target")?,
             },
             "close" => {
-                client.close_doc(&ctx, handle)?;
+                target.close_doc(&ctx, handle)?;
                 handles.remove(label);
                 pending = true;
                 continue;
             }
             other => return Err(err(format!("unknown directive `{other}`"))),
         };
-        client.apply(&format!("{ctx}: {label}"), handle, &op)?;
+        target.apply(&format!("{ctx}: {label}"), handle, &op)?;
         pending = true;
     }
     if pending {
-        let delta = client.commit(&format!("{script_path}: final commit"))?;
+        let delta = target.commit(&format!("{script_path}: final commit"))?;
         deltas.push(delta);
     }
     Ok(deltas)
@@ -1614,7 +1518,7 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
                     .into(),
             )
         })?;
-        let deltas = run_remote_script(spec, &mut client, script_path)?;
+        let deltas = run_script(spec, &mut client, &[], script_path)?;
         // `--shard K` subscribes the local replica to one touch-graph
         // component: it receives and applies only shard-K deltas and
         // reconstructs the shard projection of the session's report.
@@ -1722,7 +1626,7 @@ pub fn coord(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let num_groups = coordinator.num_groups();
     let num_shards = spec.shard_plan().num_shards();
 
-    let deltas = run_remote_script(&spec, &mut coordinator, script_path)?;
+    let deltas = run_script(&spec, &mut coordinator, &[], script_path)?;
 
     // The merged stream must satisfy every replica invariant: replay it
     // through a stock subscriber and render that reconstruction.

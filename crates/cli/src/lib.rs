@@ -137,7 +137,8 @@ OPTIONS:
     --session FILE        replay an edit script over a corpus session instead of a
                           one-shot batch: open/set/add/text/remove/close/commit
                           directives, one per line; every commit re-checks only the
-                          edited documents and reports the delta (batch only)
+                          edited documents and reports the delta; a label names the
+                          document last opened under it (batch only)
     --script FILE         the edit script to record (journal record only; same
                           directive syntax as --session — the human-readable twin
                           of the binary log)

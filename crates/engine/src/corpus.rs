@@ -1,10 +1,11 @@
-//! Corpus-scale sessions: many open documents, one spec, one value pool,
-//! O(edited documents) re-verdicts.
+//! The validation session: many open documents, one spec, one value pool,
+//! O(edit) per-document verdicts and O(edited documents) commits.
 //!
-//! [`crate::Session`] made re-validating one *document* O(edit); a corpus
-//! still paid O(corpus) per change, because the only batch surface was
-//! [`crate::BatchEngine::validate_batch`] — a cold parse + validate + index
-//! of every document, every time.  A [`CorpusSession`] closes that gap:
+//! Re-validating a document after every small change costs O(document) per
+//! rebuild, and a corpus pays O(corpus) per change through the only batch
+//! surface, [`crate::BatchEngine::validate_batch`] — a cold parse, validate
+//! and index of every document, every time.  A [`CorpusSession`] closes
+//! both gaps:
 //!
 //! * **one spec, many documents** — every open document shares the
 //!   [`CompiledSpec`]'s precompiled automata and its spec-level
@@ -23,7 +24,13 @@
 //!   `T ⊨ Σ` verdict) and serves every clean document's report from cache.
 //!   The commit itself is O(dirty documents) too: corpus-wide counters are
 //!   maintained incrementally, and open-order positions are only
-//!   renumbered after a close;
+//!   renumbered after a close.  Between commits,
+//!   [`CorpusSession::verdict`] answers one document's `T ⊨ Σ` at O(edit);
+//! * **durability and containment** — a document persists to an
+//!   append-only log ([`CorpusSession::persist_to`]) and reopens from one
+//!   ([`CorpusSession::recover_from`]); a panic inside
+//!   [`CorpusSession::apply`] quarantines only that document until
+//!   [`CorpusSession::recover`] replays its journal onto its recovery base;
 //! * **delta stream** — each commit returns a [`BatchDelta`]: the documents
 //!   whose *report changed* — newly opened, flipped clean ↔ violating, or
 //!   still violating with a different violation/error set — each with its
@@ -40,18 +47,19 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use xic_constraints::{IncrementalIndex, ShardPlan, Violation};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
-use xic_xml::budget::ParseError;
-use xic_xml::{EditJournal, EditOp, ValuePool, XmlTree};
+use xic_xml::budget::{ParseBudget, ParseError};
+use xic_xml::{EditJournal, EditOp, TreeSnapshot, ValuePool, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
-use crate::journal::JournalError;
+use crate::journal::{self, JournalError, PersistReceipt};
 use crate::limits::{self, LimitKind, Limits, ResourceError};
-use crate::session::{apply_ops, DocHandle, SessionError};
+use crate::session::{apply_ops, DocHandle, Recovery, SessionError, SessionVerdict};
 use crate::spec::CompiledSpec;
 
 /// One document's entry in a [`BatchDelta`]: its state transition and the
@@ -69,8 +77,9 @@ pub struct DocChange {
     /// The shards (per the spec's [`ShardPlan`]) whose projected view of
     /// this document can differ from the previous commit: the shards of the
     /// constraints the triggering edits dirtied.  Opens, structural-error
-    /// or fault churn, and panic-rebuilt rechecks are *broadcast* — tagged
-    /// with every shard — because their effect is shard-independent.
+    /// or fault churn, panic-rebuilt rechecks and documents whose dirty
+    /// constraints a [`CorpusSession::verdict`] already consumed are
+    /// *broadcast* — tagged with every shard.
     /// Sorted ascending.
     pub shards: Vec<u32>,
 }
@@ -360,12 +369,37 @@ impl CorpusInstruments {
     }
 }
 
+/// The tree a document's journal entries replay onto: what
+/// [`CorpusSession::recover`] and [`CorpusSession::compact`] rebuild from.
+#[derive(Debug)]
+enum RecoveryBase {
+    /// The source the document was parsed from: a re-parse rebuilds the
+    /// same arena ids, so opening a source costs no snapshot.
+    Source(String),
+    /// A slot-for-slot arena dump — for pre-built trees, compacted
+    /// journals and recovered logs, where no source reproduces the arena.
+    Snapshot(TreeSnapshot),
+}
+
 #[derive(Debug)]
 struct CorpusDoc {
     label: String,
     tree: XmlTree,
     index: IncrementalIndex,
     journal: EditJournal,
+    /// `base` + `journal` entries reconstruct `tree`.
+    base: RecoveryBase,
+    /// Edits known durable in a log ([`CorpusSession::persist_to`] raises
+    /// it): the watermark [`CorpusSession::compact`] folds up to.
+    durable_edits: u64,
+    /// `Some(cause)` after a contained panic mid-apply: the tree/index pair
+    /// may be inconsistent, so edits and verdicts are refused until
+    /// [`CorpusSession::recover`] clears it.
+    poisoned: Option<String>,
+    /// A verdict consumed the index's dirty constraints since the last
+    /// commit, so the next change cannot be tagged with the shards they
+    /// dirtied and is broadcast instead.
+    verdict_drained: bool,
     /// Position in open order (recomputed only after a close).
     position: usize,
     /// Report as of the last commit; `None` before the first commit that
@@ -373,6 +407,43 @@ struct CorpusDoc {
     report: Option<DocReport>,
     /// Clean state at the last commit; `None` until then.
     committed_clean: Option<bool>,
+}
+
+impl CorpusDoc {
+    /// The recovery base with the first `entries` journal entries replayed
+    /// onto it.
+    fn rebuild(&self, spec: &CompiledSpec, pool: &ValuePool, entries: usize) -> XmlTree {
+        let mut tree = match &self.base {
+            RecoveryBase::Source(source) => spec
+                .parse_document_budgeted(source, pool.fork(), &ParseBudget::UNLIMITED)
+                .map_err(|(err, _)| err)
+                .expect("a source that parsed at open re-parses"),
+            RecoveryBase::Snapshot(snapshot) => XmlTree::from_snapshot(snapshot)
+                .expect("recovery snapshots are self-made and reconstruct exactly"),
+        };
+        for (op, _) in &self.journal.entries()[..entries] {
+            tree.apply_edit(op)
+                .expect("journaled ops replay deterministically onto their base");
+        }
+        tree
+    }
+}
+
+/// The open, unquarantined document behind `handle`.
+fn healthy(
+    docs: &mut BTreeMap<u64, CorpusDoc>,
+    handle: DocHandle,
+) -> Result<&mut CorpusDoc, SessionError> {
+    let doc = docs
+        .get_mut(&handle.raw())
+        .ok_or(SessionError::UnknownHandle(handle))?;
+    if let Some(cause) = &doc.poisoned {
+        return Err(SessionError::Poisoned {
+            handle,
+            cause: cause.clone(),
+        });
+    }
+    Ok(doc)
 }
 
 /// A corpus-level validation session: many open documents validated against
@@ -411,7 +482,17 @@ struct CorpusDoc {
 /// let delta = corpus.commit();
 /// assert_eq!(delta.rechecked_docs, 1);
 /// assert!(delta.is_empty(), "b is still clean on its own — no change to report");
-/// # let _ = a;
+///
+/// // Per-document verdicts between commits: renaming Joe to Ann breaks a's
+/// // key, and only the touched constraint is re-checked.
+/// let a_root = corpus.tree(a).unwrap().root();
+/// let teacher = spec.dtd().type_by_name("teacher").unwrap();
+/// corpus.apply(a, &[EditOp::AddElement { parent: a_root, ty: teacher }]).unwrap();
+/// let added = corpus.tree(a).unwrap().elements().nth(2).unwrap();
+/// corpus
+///     .apply(a, &[EditOp::SetAttr { element: added, attr: name, value: "Joe".into() }])
+///     .unwrap();
+/// assert!(!corpus.verdict(a).unwrap().is_clean());
 /// ```
 #[derive(Debug)]
 pub struct CorpusSession<'s> {
@@ -618,14 +699,15 @@ impl<'s> CorpusSession<'s> {
             }
         };
         self.pool = tree.pool().fork();
-        Ok(self.admit(label, tree))
+        let base = RecoveryBase::Source(source.to_owned());
+        Ok(self.admit(label, tree, base, EditJournal::new()))
     }
 
     /// Opens a pre-built tree under `label`.  Its values are absorbed into
     /// the corpus pool (allocations shared, ids untouched) so future opens
     /// and edits stay warm.  Under [`Limits`] the tree is bounded the same
-    /// way a parsed source is: admission and node count are checked before
-    /// anything is shared or indexed.
+    /// way a parsed source is: admission, node count and nesting depth are
+    /// checked before anything is shared or indexed.
     pub fn open(
         &mut self,
         label: impl Into<String>,
@@ -634,18 +716,11 @@ impl<'s> CorpusSession<'s> {
         let label = label.into();
         self.check_admission(&label)
             .map_err(SessionError::Resource)?;
-        if let Some(max) = self.limits.max_doc_nodes {
-            if tree.num_nodes() > max {
-                return Err(SessionError::Resource(ResourceError::new(
-                    LimitKind::DocNodes,
-                    max as u64,
-                    tree.num_nodes() as u64,
-                    format!("open `{label}`"),
-                )));
-            }
-        }
+        limits::admit_tree(&self.limits, &tree, &format!("open `{label}`"))
+            .map_err(SessionError::Resource)?;
         self.pool.absorb(tree.pool());
-        Ok(self.admit(label, tree))
+        let base = RecoveryBase::Snapshot(tree.snapshot());
+        Ok(self.admit(label, tree, base, EditJournal::new()))
     }
 
     /// Admission guard shared by the open paths: a bounded dirty set sheds
@@ -665,8 +740,17 @@ impl<'s> CorpusSession<'s> {
         Ok(())
     }
 
-    fn admit(&mut self, label: String, tree: XmlTree) -> DocHandle {
-        let layout = std::sync::Arc::clone(self.spec.incremental_layout());
+    /// Indexes and registers a document whose `base` plus `journal`
+    /// entries reconstruct `tree`; everything recorded so far counts as
+    /// durable (nothing newer exists to lose).
+    fn admit(
+        &mut self,
+        label: String,
+        tree: XmlTree,
+        base: RecoveryBase,
+        journal: EditJournal,
+    ) -> DocHandle {
+        let layout = Arc::clone(self.spec.incremental_layout());
         let index = IncrementalIndex::with_layout(layout, &tree);
         let handle = DocHandle::new(self.next_handle);
         self.next_handle += 1;
@@ -678,7 +762,11 @@ impl<'s> CorpusSession<'s> {
                 label,
                 tree,
                 index,
-                journal: EditJournal::new(),
+                durable_edits: journal.total_recorded(),
+                journal,
+                base,
+                poisoned: None,
+                verdict_drained: false,
                 position,
                 report: None,
                 committed_clean: None,
@@ -732,14 +820,19 @@ impl<'s> CorpusSession<'s> {
     /// [`Limits`] rejections ([`SessionError::Resource`]) are different:
     /// they are checked **before** any op is applied, so the batch comes
     /// back whole in the error's echo and the document is untouched —
-    /// commit to drain the queue, then retry.
+    /// commit to drain the queue, then retry.  A quarantined document is
+    /// refused the same way ([`SessionError::Poisoned`]).
+    ///
+    /// A panic *inside* the edit loop (the `corpus.apply` failpoint, or a
+    /// bug in edit or index maintenance) is contained here: the document is
+    /// quarantined instead of the process dying, the next commit reports it
+    /// as a [`DocFault::Panic`], and its journal keeps exactly the
+    /// fully-recorded ops — the consistent history
+    /// [`CorpusSession::recover`] replays.
     pub fn apply(&mut self, handle: DocHandle, ops: &[EditOp]) -> Result<(), SessionError> {
         let limits = self.limits;
         let queued = self.queued_ops;
-        let doc = self
-            .docs
-            .get_mut(&handle.raw())
-            .ok_or(SessionError::UnknownHandle(handle))?;
+        let doc = healthy(&mut self.docs, handle)?;
         let newly_dirty = !self.dirty.contains(&handle.raw());
         if newly_dirty {
             if let Some(max) = limits.max_dirty_docs {
@@ -772,19 +865,180 @@ impl<'s> CorpusSession<'s> {
         // Timed per batch, not per op: one clock pair amortized over the
         // whole edit slice keeps instrumentation inside the overhead budget.
         let timer = self.instr.registry.start_timer();
-        let outcome = apply_ops(&mut doc.tree, &mut doc.index, &mut doc.journal, ops);
-        let applied = match &outcome {
-            Ok(()) => ops.len() as u64,
-            Err(SessionError::Edit { index, .. }) => *index as u64,
-            Err(_) => unreachable!("apply_ops only raises Edit errors"),
-        };
+        let recorded_before = doc.journal.total_recorded();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if xic_telemetry::faults::hit("corpus.apply") {
+                panic!("injected fault: corpus.apply");
+            }
+            apply_ops(&mut doc.tree, &mut doc.index, &mut doc.journal, ops)
+        }));
+        // Only fully-recorded ops count as applied, panic or not.
+        let applied = doc.journal.total_recorded() - recorded_before;
         self.instr.edits.add(applied);
         self.queued_ops += applied as usize;
         self.instr.queued_ops.add(applied as i64);
         if let Some(t) = timer {
             self.instr.apply_ns.record_elapsed(t);
         }
-        outcome
+        caught.unwrap_or_else(|payload| {
+            let cause = crate::batch::panic_cause(payload);
+            crate::batch::resilience_instruments().0.inc();
+            doc.poisoned = Some(cause.clone());
+            Err(SessionError::Poisoned { handle, cause })
+        })
+    }
+
+    /// One document's current `T ⊨ Σ` verdict, recomputing only the
+    /// constraints its edits since the last verdict dirtied — O(edit), no
+    /// commit needed.  Under [`CorpusSession::scope_to_shards`] only
+    /// in-scope constraints are checked, exactly as commits do.
+    pub fn verdict(&mut self, handle: DocHandle) -> Result<SessionVerdict, SessionError> {
+        let doc = healthy(&mut self.docs, handle)?;
+        Ok(Self::verdict_of(doc, self.shard_scope.as_ref()))
+    }
+
+    fn verdict_of(doc: &mut CorpusDoc, scope: Option<&ShardScope>) -> SessionVerdict {
+        doc.verdict_drained |= doc.index.pending() > 0;
+        let violations = match scope {
+            Some(s) => doc.index.check_all_where(&doc.tree, |i| s.keep[i]),
+            None => doc.index.check_all(&doc.tree),
+        };
+        SessionVerdict {
+            violations,
+            rechecked: doc.index.rechecked(),
+            edits_applied: doc.journal.total_recorded(),
+        }
+    }
+
+    /// Whether a document is quarantined after a contained panic (see
+    /// [`SessionError::Poisoned`]).
+    pub fn is_poisoned(&self, handle: DocHandle) -> Result<bool, SessionError> {
+        self.docs
+            .get(&handle.raw())
+            .map(|d| d.poisoned.is_some())
+            .ok_or(SessionError::UnknownHandle(handle))
+    }
+
+    /// Rebuilds a document from its recovery base plus its journal — the
+    /// fully-recorded, known-consistent history — clearing any quarantine
+    /// and returning a fresh verdict.  The document rejoins the dirty set,
+    /// so the next commit re-checks it and heals a reported
+    /// [`DocFault::Panic`].  Safe on healthy documents too: the rebuilt
+    /// state is identical to the live one.
+    pub fn recover(&mut self, handle: DocHandle) -> Result<SessionVerdict, SessionError> {
+        let doc = self
+            .docs
+            .get_mut(&handle.raw())
+            .ok_or(SessionError::UnknownHandle(handle))?;
+        let tree = doc.rebuild(self.spec, &self.pool, doc.journal.len());
+        doc.index =
+            IncrementalIndex::with_layout(Arc::clone(self.spec.incremental_layout()), &tree);
+        doc.tree = tree;
+        doc.poisoned = None;
+        if !self.dirty.contains(&handle.raw()) {
+            self.dirty.push(handle.raw());
+            self.instr.dirty_docs.set(self.dirty.len() as i64);
+        }
+        Ok(Self::verdict_of(doc, self.shard_scope.as_ref()))
+    }
+
+    /// Persists one document to an append-only delta log at `path` (see
+    /// [`crate::journal`] for the format).
+    ///
+    /// The first persist writes the log header plus a **base record** — a
+    /// slot-for-slot snapshot of the current tree, folding every edit
+    /// recorded so far.  Later persists to the same path append exactly the
+    /// journal entries the log lacks (after verifying the shared history
+    /// matches op-for-op), truncating a torn tail left by an earlier crash
+    /// first.  After a successful persist every recorded edit is durable,
+    /// so [`CorpusSession::compact`] may drop the in-memory prefix.
+    pub fn persist_to(
+        &mut self,
+        handle: DocHandle,
+        path: impl AsRef<Path>,
+    ) -> Result<PersistReceipt, JournalError> {
+        let doc = self
+            .docs
+            .get_mut(&handle.raw())
+            .ok_or(JournalError::UnknownHandle {
+                handle: handle.raw(),
+            })?;
+        let receipt =
+            journal::persist_session_doc(path.as_ref(), self.spec.id(), &doc.tree, &doc.journal)?;
+        doc.durable_edits = doc.journal.total_recorded();
+        Ok(receipt)
+    }
+
+    /// Recovers a document from a log written by
+    /// [`CorpusSession::persist_to`] and opens it under `label`.
+    ///
+    /// A partially written final record (a crash mid-append) is a **torn
+    /// tail**: it is dropped and the last durable prefix is recovered —
+    /// verdicts are then witness-identical to a live session that replayed
+    /// the same prefix (`tests/journal_recovery.rs` proves this under
+    /// truncation and corruption at every byte boundary).  Anything
+    /// structurally unsound — wrong spec, damaged non-final records,
+    /// undecodable payloads, snapshots or ops violating tree/DTD
+    /// invariants — is rejected with a structured [`JournalError`]; wrong
+    /// verdicts are never produced.
+    pub fn recover_from(
+        &mut self,
+        label: impl Into<String>,
+        path: impl AsRef<Path>,
+    ) -> Result<Recovery, JournalError> {
+        let log = journal::read_session_log(path, self.spec.id())?;
+        journal::validate_log_against_dtd(&log, self.spec.dtd())?;
+        let mut tree = XmlTree::from_snapshot(&log.base)?;
+        let mut history = EditJournal::with_folded(log.base_edits);
+        for (i, op) in log.ops.iter().enumerate() {
+            let effect = tree.apply_edit(op).map_err(|error| JournalError::Replay {
+                op_index: log.base_edits + i as u64,
+                error,
+            })?;
+            history.record(op.clone(), effect);
+        }
+        self.pool.absorb(tree.pool());
+        let handle = self.admit(
+            label.into(),
+            tree,
+            RecoveryBase::Snapshot(log.base),
+            history,
+        );
+        Ok(Recovery {
+            handle,
+            base_edits: log.base_edits,
+            ops_replayed: log.ops.len() as u64,
+            truncated_tail: log.truncated,
+        })
+    }
+
+    /// Drops the journal entries already durable in a log (the prefix a
+    /// [`CorpusSession::persist_to`] covered), bounding the in-memory
+    /// journal of a long-lived document; returns how many were dropped.
+    /// The dropped prefix is first folded into the recovery base, so
+    /// [`CorpusSession::recover`] keeps working, and the log — not the
+    /// in-memory journal — stays the full history.
+    pub fn compact(&mut self, handle: DocHandle) -> Result<usize, SessionError> {
+        let doc = self
+            .docs
+            .get_mut(&handle.raw())
+            .ok_or(SessionError::UnknownHandle(handle))?;
+        let folded = doc.journal.folded();
+        if doc.durable_edits > folded {
+            let to_fold = (doc.durable_edits - folded) as usize;
+            let base = doc.rebuild(self.spec, &self.pool, to_fold);
+            doc.base = RecoveryBase::Snapshot(base.snapshot());
+        }
+        Ok(doc.journal.compact(doc.durable_edits))
+    }
+
+    /// Edits of this document known durable in a log (the compaction
+    /// watermark).
+    pub fn durable_edits(&self, handle: DocHandle) -> Result<u64, SessionError> {
+        self.docs
+            .get(&handle.raw())
+            .map(|d| d.durable_edits)
+            .ok_or(SessionError::UnknownHandle(handle))
     }
 
     /// Closes a document, handing its (edited) tree back.  The close is
@@ -905,19 +1159,37 @@ impl<'s> CorpusSession<'s> {
                 .collect();
             dirty_shards.sort_unstable();
             dirty_shards.dedup();
-            let recheck_timer = self.instr.registry.start_timer();
-            let (validation_errors, violations, fault, rebuilt) =
-                Self::recheck_contained(self.spec, &validator, doc, self.shard_scope.as_ref());
-            if let Some(t) = recheck_timer {
-                self.instr.recheck_ns.record_elapsed(t);
-            }
-            // Scoped commits recompute only in-scope dirty constraints; the
-            // rest were dropped, not rechecked.
-            let kept = doc.index.rechecked();
-            self.instr.shard_rechecked.add(kept as u64);
-            self.instr
-                .shard_skipped
-                .add(dirty_checks.saturating_sub(kept) as u64);
+            let (validation_errors, violations, fault, rebuilt) = match &doc.poisoned {
+                // A quarantined document's indexes may be mid-update: report
+                // the contained apply panic, as recheck quarantine does,
+                // until `recover` rebuilds it.
+                Some(cause) => {
+                    let fault = DocFault::Panic {
+                        cause: cause.clone(),
+                    };
+                    (Vec::new(), Vec::new(), Some(fault), true)
+                }
+                None => {
+                    let recheck_timer = self.instr.registry.start_timer();
+                    let outcome = Self::recheck_contained(
+                        self.spec,
+                        &validator,
+                        doc,
+                        self.shard_scope.as_ref(),
+                    );
+                    if let Some(t) = recheck_timer {
+                        self.instr.recheck_ns.record_elapsed(t);
+                    }
+                    // Scoped commits recompute only in-scope dirty
+                    // constraints; the rest were dropped, not rechecked.
+                    let kept = doc.index.rechecked();
+                    self.instr.shard_rechecked.add(kept as u64);
+                    self.instr
+                        .shard_skipped
+                        .add(dirty_checks.saturating_sub(kept) as u64);
+                    outcome
+                }
+            };
             // Exact per-commit violation churn: the previous report is
             // still at hand here, which a bare BatchDelta never has.
             let previous_violations = doc.report.as_ref().map_or(0, |r| r.violations.len());
@@ -950,12 +1222,15 @@ impl<'s> CorpusSession<'s> {
                         || previous.fault != fresh.fault
                 }
             };
-            // Shard tag: opens, structural/fault churn and panic-rebuilt
-            // rechecks are shard-independent, so they broadcast; a pure
+            // Shard tag: opens, structural/fault churn, panic-rebuilt
+            // rechecks and verdicts that already drained the dirty
+            // constraints are shard-independent, so they broadcast; a pure
             // Σ-violation change can only have happened in a dirty shard
             // (clean shards served their cached verdicts).
+            let drained = std::mem::take(&mut doc.verdict_drained);
             let broadcast = was_clean.is_none()
                 || rebuilt
+                || drained
                 || match &doc.report {
                     None => true,
                     Some(previous) => {
@@ -1162,6 +1437,8 @@ impl<'s> CorpusSession<'s> {
 mod tests {
     use super::*;
     use crate::batch::{BatchDoc, BatchEngine};
+    use crate::journal::JournalError;
+    use xic_constraints::{DocIndex, IndexPlan};
     use xic_xml::{write_document, EditError};
 
     fn spec() -> CompiledSpec {
@@ -1596,5 +1873,346 @@ mod tests {
         assert_eq!(ia, ib);
         assert_eq!(ta.resolve(ia).as_ptr(), tb.resolve(ib).as_ptr());
         assert!(corpus.pool().get("Shared").is_some());
+    }
+
+    fn temp_log(tag: &str) -> std::path::PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("xic-corpus-{tag}-{}.xicj", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    #[test]
+    fn verdicts_between_commits_match_a_rebuild() {
+        let spec = spec();
+        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let mut corpus = CorpusSession::new(&spec);
+        let doc = corpus
+            .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
+            .unwrap();
+        assert!(corpus.verdict(doc).unwrap().is_clean());
+
+        // The new teacher has no name yet: keys skip attribute-less
+        // elements, so the document is still clean.
+        let root = corpus.tree(doc).unwrap().root();
+        corpus
+            .apply(
+                doc,
+                &[EditOp::AddElement {
+                    parent: root,
+                    ty: teacher,
+                }],
+            )
+            .unwrap();
+        assert!(corpus.verdict(doc).unwrap().is_clean());
+        let added = corpus.tree(doc).unwrap().ext(teacher).nth(1).unwrap();
+        corpus
+            .apply(
+                doc,
+                &[EditOp::SetAttr {
+                    element: added,
+                    attr: name,
+                    value: "Joe".into(),
+                }],
+            )
+            .unwrap();
+        let verdict = corpus.verdict(doc).unwrap();
+        assert!(!verdict.is_clean());
+        assert_eq!(verdict.edits_applied(), 2);
+        assert_eq!(verdict.rechecked(), 1);
+
+        // Witness identity with a from-scratch rebuild and the one-shot path.
+        let tree = corpus.tree(doc).unwrap();
+        let plan = IndexPlan::for_set(spec.sigma());
+        let rebuilt = DocIndex::build(spec.dtd(), tree, &plan).check_all(spec.sigma());
+        assert_eq!(verdict.violations(), rebuilt.as_slice());
+        assert_eq!(spec.check_document(tree), rebuilt);
+
+        // The commit reports the same violations the verdict already saw.
+        let delta = corpus.commit();
+        assert_eq!(delta.changes[0].report.violations, rebuilt);
+        corpus.close(doc).unwrap();
+        assert_eq!(corpus.verdict(doc), Err(SessionError::UnknownHandle(doc)));
+    }
+
+    /// Two disconnected keys make two shards.  A verdict between apply and
+    /// commit consumes the dirty constraints the commit would tag the
+    /// change with, so the change broadcasts instead of losing its tag.
+    #[test]
+    fn a_verdict_before_commit_broadcasts_the_change() {
+        let spec = CompiledSpec::from_sources(
+            "<!ELEMENT school (teacher*, student*)>\n\
+             <!ELEMENT teacher EMPTY>\n\
+             <!ELEMENT student EMPTY>\n\
+             <!ATTLIST teacher name CDATA #REQUIRED>\n\
+             <!ATTLIST student id CDATA #REQUIRED>",
+            Some("school"),
+            "teacher.name -> teacher\nstudent.id -> student",
+        )
+        .unwrap();
+        assert_eq!(spec.shard_plan().num_shards(), 2);
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let source =
+            "<school><teacher name=\"A\"/><teacher name=\"B\"/><student id=\"1\"/></school>";
+        let tags = |with_verdict: bool| {
+            let mut corpus = CorpusSession::new(&spec);
+            let doc = corpus.open_source("a.xml", source).unwrap();
+            corpus.commit();
+            let second = corpus.tree(doc).unwrap().elements().nth(2).unwrap();
+            corpus
+                .apply(
+                    doc,
+                    &[EditOp::SetAttr {
+                        element: second,
+                        attr: name,
+                        value: "A".into(),
+                    }],
+                )
+                .unwrap();
+            if with_verdict {
+                assert!(!corpus.verdict(doc).unwrap().is_clean());
+            }
+            corpus.commit().changes[0].shards.clone()
+        };
+        assert_eq!(tags(false).len(), 1);
+        assert_eq!(tags(true), vec![0, 1]);
+    }
+
+    #[test]
+    fn node_bound_rejects_batches_whole_with_an_echo() {
+        let spec = spec();
+        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        let mut corpus = CorpusSession::with_limits(
+            &spec,
+            Limits {
+                max_doc_nodes: Some(3),
+                ..Limits::UNLIMITED
+            },
+        );
+        // school + teacher + its name attribute = 3 arena nodes: at the cap.
+        let doc = corpus
+            .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
+            .unwrap();
+        let root = corpus.tree(doc).unwrap().root();
+        let ops = vec![
+            EditOp::AddElement {
+                parent: root,
+                ty: teacher
+            };
+            2
+        ];
+        let err = corpus.apply(doc, &ops).unwrap_err();
+        let SessionError::Resource(resource) = err else {
+            panic!("expected a resource rejection, got {err:?}");
+        };
+        assert_eq!(resource.limit, LimitKind::DocNodes);
+        // All-or-nothing: the whole batch is echoed back and nothing was
+        // applied — unlike Edit errors, which keep the applied prefix.
+        assert_eq!(resource.rejected.len(), 2);
+        assert_eq!(resource.rejected[0].op, ops[0]);
+        assert_eq!(corpus.tree(doc).unwrap().ext_count(teacher), 1);
+        assert_eq!(corpus.verdict(doc).unwrap().edits_applied(), 0);
+    }
+
+    #[test]
+    fn persist_recover_compact_round_trip() {
+        let spec = spec();
+        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let path = temp_log("persist");
+
+        let mut corpus = CorpusSession::new(&spec);
+        let doc = corpus
+            .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
+            .unwrap();
+        // First persist folds the (edit-free) document into the base.
+        assert_eq!(corpus.persist_to(doc, &path).unwrap().total_records, 1);
+
+        // Edit, persist (appends two op records), compact, edit, persist.
+        let root = corpus.tree(doc).unwrap().root();
+        let add = EditOp::AddElement {
+            parent: root,
+            ty: teacher,
+        };
+        corpus.apply(doc, &[add.clone(), add]).unwrap();
+        assert_eq!(corpus.persist_to(doc, &path).unwrap().records_written, 2);
+        assert_eq!(corpus.durable_edits(doc).unwrap(), 2);
+        assert_eq!(corpus.compact(doc).unwrap(), 2);
+        assert!(corpus.journal(doc).unwrap().is_empty());
+        let second = corpus.tree(doc).unwrap().ext(teacher).nth(1).unwrap();
+        corpus
+            .apply(
+                doc,
+                &[EditOp::SetAttr {
+                    element: second,
+                    attr: name,
+                    value: "Joe".into(),
+                }],
+            )
+            .unwrap();
+        let receipt = corpus.persist_to(doc, &path).unwrap();
+        assert_eq!((receipt.records_written, receipt.total_records), (1, 4));
+        let live = corpus.verdict(doc).unwrap();
+        assert!(!live.is_clean());
+
+        // Recovery replays the log onto the base snapshot: same verdict,
+        // same witnesses, node-for-node the same arena.
+        let mut recovered = CorpusSession::new(&spec);
+        let recovery = recovered.recover_from("a.xml", &path).unwrap();
+        assert_eq!((recovery.base_edits, recovery.ops_replayed), (0, 3));
+        assert!(!recovery.truncated_tail);
+        let verdict = recovered.verdict(recovery.handle).unwrap();
+        assert_eq!(verdict.violations(), live.violations());
+        assert_eq!(verdict.edits_applied(), 3);
+        assert_eq!(
+            recovered.tree(recovery.handle).unwrap().snapshot(),
+            corpus.tree(doc).unwrap().snapshot()
+        );
+        // A recovered document commits like any opened one.
+        let delta = recovered.commit();
+        assert_eq!(delta.changes[0].report.label, "a.xml");
+
+        // The recovered session keeps appending to the same log.
+        let third = recovered
+            .tree(recovery.handle)
+            .unwrap()
+            .ext(teacher)
+            .nth(2)
+            .unwrap();
+        recovered
+            .apply(
+                recovery.handle,
+                &[EditOp::SetAttr {
+                    element: third,
+                    attr: name,
+                    value: "Ann".into(),
+                }],
+            )
+            .unwrap();
+        let receipt = recovered.persist_to(recovery.handle, &path).unwrap();
+        assert_eq!((receipt.records_written, receipt.total_records), (1, 5));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn persisting_a_foreign_log_is_rejected() {
+        let spec = spec();
+        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let path = temp_log("foreign");
+        let mut corpus = CorpusSession::new(&spec);
+        let a = corpus
+            .open_source("a.xml", "<school><teacher name=\"A\"/></school>")
+            .unwrap();
+        let b = corpus
+            .open_source("b.xml", "<school><teacher name=\"B\"/></school>")
+            .unwrap();
+        corpus.persist_to(a, &path).unwrap();
+        // Both documents get one identical op, then their histories fork.
+        for doc in [a, b] {
+            let root = corpus.tree(doc).unwrap().root();
+            corpus
+                .apply(
+                    doc,
+                    &[EditOp::AddElement {
+                        parent: root,
+                        ty: teacher,
+                    }],
+                )
+                .unwrap();
+        }
+        let a_first = corpus.tree(a).unwrap().ext(teacher).next().unwrap();
+        corpus
+            .apply(
+                a,
+                &[EditOp::SetAttr {
+                    element: a_first,
+                    attr: name,
+                    value: "Renamed".into(),
+                }],
+            )
+            .unwrap();
+        let b_first = corpus.tree(b).unwrap().ext(teacher).next().unwrap();
+        corpus
+            .apply(b, &[EditOp::RemoveSubtree { element: b_first }])
+            .unwrap();
+        corpus.persist_to(a, &path).unwrap();
+        // a's log now holds two ops; b's second op differs in the overlap,
+        // so appending b's history to a's log is refused.
+        let err = corpus.persist_to(b, &path).unwrap_err();
+        assert!(matches!(err, JournalError::Diverged { .. }), "{err:?}");
+        // A log that is *ahead* of the session is refused too.
+        let mut rewound = CorpusSession::new(&spec);
+        let fresh = rewound
+            .open_source("a.xml", "<school><teacher name=\"A\"/></school>")
+            .unwrap();
+        let err = rewound.persist_to(fresh, &path).unwrap_err();
+        assert!(matches!(err, JournalError::Diverged { .. }), "{err:?}");
+        // Unknown handles surface structurally.
+        assert_eq!(
+            CorpusSession::new(&spec)
+                .persist_to(DocHandle::from_raw(9), &path)
+                .unwrap_err(),
+            JournalError::UnknownHandle { handle: 9 }
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `recover` rebuilds the live state from every kind of recovery base:
+    /// the parsed source, a pre-built tree's snapshot, and the snapshot
+    /// compaction folds the durable prefix into.
+    #[test]
+    fn recover_rebuilds_the_live_state_from_every_base() {
+        let spec = spec();
+        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let source = "<school><teacher name=\"Joe\"/></school>";
+        let path = temp_log("recover");
+        for (base, compact) in [("source", false), ("tree", false), ("source", true)] {
+            let mut corpus = CorpusSession::new(&spec);
+            let doc = match base {
+                "source" => corpus.open_source("a.xml", source).unwrap(),
+                _ => corpus
+                    .open("a.xml", spec.parse_document(source).unwrap())
+                    .unwrap(),
+            };
+            let root = corpus.tree(doc).unwrap().root();
+            let add = EditOp::AddElement {
+                parent: root,
+                ty: teacher,
+            };
+            corpus.apply(doc, &[add.clone(), add]).unwrap();
+            if compact {
+                // Compact away the durable prefix, then keep editing:
+                // recover() must fold base + remaining journal back.
+                std::fs::remove_file(&path).ok();
+                corpus.persist_to(doc, &path).unwrap();
+                assert_eq!(corpus.compact(doc).unwrap(), 2);
+            }
+            let second = corpus.tree(doc).unwrap().ext(teacher).nth(1).unwrap();
+            corpus
+                .apply(
+                    doc,
+                    &[EditOp::SetAttr {
+                        element: second,
+                        attr: name,
+                        value: "Joe".into(),
+                    }],
+                )
+                .unwrap();
+            let live_snapshot = corpus.tree(doc).unwrap().snapshot();
+            let live = corpus.verdict(doc).unwrap();
+            assert!(!corpus.is_poisoned(doc).unwrap());
+            let verdict = corpus.recover(doc).unwrap();
+            assert_eq!(verdict.violations(), live.violations(), "{base}");
+            assert_eq!(verdict.edits_applied(), 3, "{base}");
+            assert_eq!(
+                corpus.tree(doc).unwrap().snapshot(),
+                live_snapshot,
+                "{base}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

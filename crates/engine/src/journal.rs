@@ -8,9 +8,11 @@
 //! keyed by the content-hash [`SpecId`] and a per-log sequence number, so
 //! that
 //!
-//! * a crashed session recovers from its log (`Session::persist_to` /
-//!   `Session::recover_from`) — a partially written final record is a
-//!   **torn tail**, truncated on read rather than reported as an error;
+//! * a crashed session recovers a document from its log
+//!   ([`crate::CorpusSession::persist_to`] /
+//!   [`crate::CorpusSession::recover_from`]) — a partially written final
+//!   record is a **torn tail**, truncated on read rather than reported as
+//!   an error;
 //! * a replica reconstructs a corpus session's verdicts from
 //!   [`BatchDelta`]s alone ([`CorpusReplica`]), without the documents ever
 //!   being re-shipped or re-parsed — the on-ramp to distributed validation
@@ -1266,7 +1268,7 @@ fn classify_existing(
 /// Persists one session document: creates `path` as a fresh log (base =
 /// the *current* tree, folding every edit recorded so far) or appends the
 /// ops the existing log lacks.  Shared implementation behind
-/// `Session::persist_to`.
+/// [`crate::CorpusSession::persist_to`].
 pub(crate) fn persist_session_doc(
     path: &Path,
     spec: SpecId,

@@ -18,22 +18,21 @@
 //!   documents against one compiled spec in parallel and aggregates
 //!   per-document reports deterministically (ordered by input index, so a
 //!   multi-threaded run renders byte-identically to a sequential one);
-//! * [`Session`] — long-lived document sessions: open a document once,
-//!   mutate it through typed [`xic_xml::EditOp`]s, and get a fresh verdict
-//!   after every edit batch at O(edit) cost — the incremental indexes
-//!   ([`xic_constraints::IncrementalIndex`]) are maintained under each
-//!   edit instead of rebuilt, with witnesses identical to a full rebuild;
-//!   the slot/watcher/touch-map layout they populate is derived once per
-//!   spec ([`xic_constraints::IncrementalLayout`], stored on the
-//!   [`CompiledSpec`]), not once per document;
-//! * [`CorpusSession`] — the corpus-scale session: many open documents
-//!   sharing one spec and one value pool, per-document dirty tracking,
-//!   commits that re-check only edited documents, and a [`BatchDelta`]
-//!   diff stream (clean ↔ violating flips with structured witnesses) for
-//!   subscribers;
+//! * [`CorpusSession`] — the one session type: open documents once,
+//!   mutate them through typed [`xic_xml::EditOp`]s, and get a fresh
+//!   per-document verdict ([`CorpusSession::verdict`]) at O(edit) cost —
+//!   the incremental indexes ([`xic_constraints::IncrementalIndex`]) are
+//!   maintained under each edit instead of rebuilt, with witnesses
+//!   identical to a full rebuild, over a layout derived once per spec
+//!   ([`xic_constraints::IncrementalLayout`], stored on the
+//!   [`CompiledSpec`]).  Documents share one value pool; commits re-check
+//!   only edited documents and emit a [`BatchDelta`] diff stream (clean ↔
+//!   violating flips with structured witnesses) for subscribers, and a
+//!   panic mid-edit quarantines only its document;
 //! * [`journal`] — durable edit journals: a versioned binary delta-log
-//!   format with CRC'd, torn-tail-tolerant records; [`Session::persist_to`]
-//!   / [`Session::recover_from`] crash recovery, [`CorpusReplica`] replicas
+//!   format with CRC'd, torn-tail-tolerant records;
+//!   [`CorpusSession::persist_to`] / [`CorpusSession::recover_from`] crash
+//!   recovery, [`CorpusReplica`] replicas
 //!   reconstructing corpus verdicts from [`BatchDelta`]s alone, and the
 //!   `xic journal` CLI surface on top;
 //! * [`Engine`] — the façade combining a cache with the checkers, exposing
@@ -103,7 +102,7 @@ pub use journal::{
 pub use limits::{LimitKind, Limits, RejectedOp, ResourceError};
 pub use merge::ReportMerger;
 pub use metrics::{register_baseline, EngineMetrics};
-pub use session::{DocHandle, Recovery, Session, SessionError, SessionVerdict};
+pub use session::{DocHandle, Recovery, SessionError, SessionVerdict};
 pub use spec::{CompileError, CompiledSpec, ParseSpecIdError, SpecId};
 pub use wire::{Request, Response, WireError, WireFault};
 pub use xic_constraints::ShardPlan;

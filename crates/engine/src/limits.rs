@@ -2,14 +2,14 @@
 //!
 //! A [`Limits`] value is the contract between the engine and a caller that
 //! cannot afford unbounded work: every admission point — parsing
-//! ([`crate::CompiledSpec::parse_document_budgeted`]), session edits
-//! ([`crate::Session::apply`]), corpus admission and commit
-//! ([`crate::CorpusSession`]) — checks its bounds **before** doing the work
-//! and answers an over-budget request with a structured [`ResourceError`],
-//! never a panic and never a partial application.  The error carries the
-//! violated limit by name, both sides of the comparison, and a
-//! [`RejectedOp`] echo of the operations that were turned away, so a caller
-//! can shed load, split the batch, or retry after a commit.
+//! ([`crate::CompiledSpec::parse_document_budgeted`]), document admission,
+//! edits ([`crate::CorpusSession::apply`]) and commits
+//! ([`crate::CorpusSession::try_commit`]) — checks its bounds **before**
+//! doing the work and answers an over-budget request with a structured
+//! [`ResourceError`], never a panic and never a partial application.  The
+//! error carries the violated limit by name, both sides of the comparison,
+//! and a [`RejectedOp`] echo of the operations that were turned away, so a
+//! caller can shed load, split the batch, or retry after a commit.
 //!
 //! The default ([`Limits::UNLIMITED`]) checks nothing and costs a handful
 //! of `Option` tests per admission — see the `resilience_overhead` bench,
@@ -27,11 +27,13 @@ use xic_xml::{EditOp, NodeId, XmlTree};
 /// Upper bounds on what the engine will accept.  `None` means unlimited.
 ///
 /// The document-facing fields (`max_doc_bytes`, `max_doc_nodes`,
-/// `max_depth`) are enforced by the parser (via [`Limits::parse_budget`])
-/// and again on edits that grow a document; the queue-facing fields bound
-/// a [`crate::CorpusSession`]'s admission; `deadline` soft-bounds a commit
-/// or batch — work already done is kept, work not yet started is rejected
-/// (commits resume where they stopped on the next call).
+/// `max_depth`) are enforced by the parser (via [`Limits::parse_budget`]),
+/// on pre-built trees opened with [`crate::CorpusSession::open`] (nodes
+/// and depth), and again on edits that grow a document; the queue-facing
+/// fields bound a [`crate::CorpusSession`]'s admission; `deadline`
+/// soft-bounds a commit or batch — work already done is kept, work not yet
+/// started is rejected (commits resume where they stopped on the next
+/// call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Limits {
     /// Maximum document source length in bytes, checked before parsing.
@@ -43,8 +45,9 @@ pub struct Limits {
     /// child-creating edits.
     pub max_depth: Option<usize>,
     /// Maximum uncommitted edit ops queued in a [`crate::CorpusSession`]
-    /// (across all dirty documents); also bounds a single
-    /// [`crate::Session::apply`] batch.
+    /// (across all dirty documents); a single
+    /// [`crate::CorpusSession::apply`] batch longer than it is rejected
+    /// whole.
     pub max_queued_ops: Option<usize>,
     /// Maximum dirty (edited-but-uncommitted) documents in a
     /// [`crate::CorpusSession`]; opening or editing past it is rejected
@@ -241,6 +244,54 @@ pub(crate) fn depth_of(tree: &XmlTree, node: NodeId) -> usize {
         cursor = parent;
     }
     depth
+}
+
+/// Element nesting depth of a whole tree (root = 1): the quantity the
+/// parser's `max_depth` budget meters.
+fn tree_depth(tree: &XmlTree) -> usize {
+    let mut deepest = 0;
+    let mut stack = vec![(tree.root(), 1)];
+    while let Some((node, depth)) = stack.pop() {
+        deepest = deepest.max(depth);
+        for &child in tree.children(node) {
+            if tree.element_type(child).is_some() {
+                stack.push((child, depth + 1));
+            }
+        }
+    }
+    deepest
+}
+
+/// Admission check for a pre-built tree: the node and depth bounds a parsed
+/// source meets through [`Limits::parse_budget`], so both open paths admit
+/// exactly the same documents.
+pub(crate) fn admit_tree(
+    limits: &Limits,
+    tree: &XmlTree,
+    context: &str,
+) -> Result<(), ResourceError> {
+    if let Some(max) = limits.max_doc_nodes {
+        if tree.num_nodes() > max {
+            return Err(ResourceError::new(
+                LimitKind::DocNodes,
+                max as u64,
+                tree.num_nodes() as u64,
+                context,
+            ));
+        }
+    }
+    if let Some(max) = limits.max_depth {
+        let depth = tree_depth(tree);
+        if depth > max {
+            return Err(ResourceError::new(
+                LimitKind::NestingDepth,
+                max as u64,
+                depth as u64,
+                context,
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Echoes a whole batch back as [`RejectedOp`]s.

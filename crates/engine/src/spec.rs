@@ -273,8 +273,8 @@ impl CompiledSpec {
 
     /// The incremental-index layout for Σ — the `(D, Σ)`-only slot, watcher
     /// and touch-map structure every session document shares.  Derived once
-    /// at compile time; [`crate::Session::open`] and
-    /// [`crate::CorpusSession`] only clone the `Arc`.
+    /// at compile time; opening a document in a [`crate::CorpusSession`]
+    /// only clones the `Arc`.
     pub fn incremental_layout(&self) -> &Arc<IncrementalLayout> {
         &self.incremental
     }
@@ -344,14 +344,16 @@ impl CompiledSpec {
         DocIndex::build(&self.dtd, tree, &self.plan)
     }
 
-    /// One-shot `T ⊨ Σ`: a thin wrapper over a throwaway session check
-    /// ([`crate::Session::check_once`]), which takes the [`DocIndex`] build
-    /// (a never-edited document needs none of the incremental bookkeeping)
-    /// and reports exactly the witnesses the session path would.  To check
-    /// several constraint subsets against one document, build the index
-    /// once with [`CompiledSpec::index_document`].
+    /// One-shot `T ⊨ Σ` for a document that will never be edited: the
+    /// plain [`DocIndex`] build, since the incremental bookkeeping a
+    /// [`crate::CorpusSession`] maintains (carrier sets, watcher lists,
+    /// journals) would be built and thrown away.  Verdicts and witnesses
+    /// are identical to [`crate::CorpusSession::verdict`]'s
+    /// (`tests/session_agreement.rs`).  To check several constraint subsets
+    /// against one document, build the index once with
+    /// [`CompiledSpec::index_document`].
     pub fn check_document(&self, tree: &XmlTree) -> Vec<Violation> {
-        crate::Session::check_once(self, tree)
+        self.index_document(tree).check_all(&self.sigma)
     }
 
     /// Consistency of the compiled specification, dispatching to the

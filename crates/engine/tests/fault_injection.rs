@@ -8,7 +8,7 @@
 //! verdict and never a process abort**.
 //!
 //! The failpoint table is process-global and the production names
-//! (`batch.doc`, `session.apply`, `journal.*`, …) are hit by every engine
+//! (`batch.doc`, `corpus.apply`, `journal.*`, …) are hit by every engine
 //! call, so these tests serialize on one mutex: a failpoint armed by a
 //! parallel test must never leak into another scenario.
 
@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use proptest::prelude::*;
 use xic_engine::{
-    BatchDoc, BatchEngine, CompiledSpec, CorpusSession, DocFault, Engine, Session, SessionError,
+    BatchDoc, BatchEngine, CompiledSpec, CorpusSession, DocFault, Engine, SessionError, Transition,
 };
 use xic_telemetry::faults::{self, FaultMode};
 use xic_xml::{EditOp, NodeId};
@@ -121,39 +121,105 @@ fn batch_panic_quarantines_one_doc_and_leaves_others_byte_identical() {
     }
 }
 
+/// A panic mid-apply quarantines one document of three: it is reported as
+/// a `DocFault::Panic` transition, the other two commit exactly what a
+/// fault-free run commits, and `recover` replays the recorded history,
+/// heals the report at the following commit and reopens the document to
+/// edits.
 #[test]
-fn session_apply_panic_poisons_and_recover_rebuilds() {
+fn poisoned_apply_is_a_reported_fault_and_heals_after_recover() {
     let _guard = serial();
     let spec = school_spec();
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
-    session.apply(h, &[set_name(&spec, "Ann")]).unwrap();
+    let docs = [
+        ("a.xml", CLEAN_DOC),
+        ("b.xml", "<school><teacher name=\"Ann\"/></school>"),
+        ("c.xml", "<school><teacher name=\"Sue\"/></school>"),
+    ];
+    let open_all = |corpus: &mut CorpusSession<'_>| {
+        let handles: Vec<_> = docs
+            .iter()
+            .map(|(label, source)| corpus.open_source(*label, source).unwrap())
+            .collect();
+        corpus.commit();
+        for &h in &handles {
+            corpus.apply(h, &[set_name(&spec, "Zed")]).unwrap();
+        }
+        handles
+    };
+    let mut baseline = CorpusSession::new(&spec);
+    let handles = open_all(&mut baseline);
+    for &h in &handles {
+        baseline.apply(h, &[set_name(&spec, "Kim")]).unwrap();
+    }
+    baseline.commit();
+    let expected = baseline.report();
 
-    faults::configure("session.apply", FaultMode::Nth(1));
-    let err = quiet_panics(|| session.apply(h, &[set_name(&spec, "Bob")])).unwrap_err();
-    assert!(matches!(err, SessionError::Poisoned { .. }), "{err}");
-    assert!(session.is_poisoned(h).unwrap());
-
-    // Quarantine holds on its own — no failpoint needed to refuse edits.
-    let again = session.apply(h, &[set_name(&spec, "Eve")]).unwrap_err();
-    assert!(matches!(again, SessionError::Poisoned { .. }), "{again}");
-
-    // Recovery replays exactly the recorded history: "Ann" landed before
-    // the panic, the poisoned batch ("Bob") did not.
-    let verdict = session.recover(h).unwrap();
-    assert!(verdict.is_clean());
-    assert!(!session.is_poisoned(h).unwrap());
-    let name = spec.dtd().attr_by_name("name").unwrap();
-    assert_eq!(
-        session.tree(h).unwrap().attr_value(NodeId(1), name),
-        Some("Ann")
+    let mut corpus = CorpusSession::new(&spec);
+    let handles = open_all(&mut corpus);
+    let (a, b, c) = (handles[0], handles[1], handles[2]);
+    corpus.apply(a, &[set_name(&spec, "Kim")]).unwrap();
+    faults::configure("corpus.apply", FaultMode::Nth(1));
+    let err = quiet_panics(|| corpus.apply(b, &[set_name(&spec, "Kim")])).unwrap_err();
+    faults::disarm("corpus.apply");
+    assert!(
+        matches!(err, SessionError::Poisoned { handle, .. } if handle == b),
+        "{err}"
     );
+    corpus.apply(c, &[set_name(&spec, "Kim")]).unwrap();
+
+    // Only b is quarantined: its edits and verdicts are refused, with no
+    // failpoint armed any more.
+    assert!(corpus.is_poisoned(b).unwrap());
+    assert!(!corpus.is_poisoned(a).unwrap() && !corpus.is_poisoned(c).unwrap());
+    assert!(matches!(
+        corpus.apply(b, &[set_name(&spec, "Eve")]),
+        Err(SessionError::Poisoned { .. })
+    ));
+    assert!(matches!(
+        corpus.verdict(b),
+        Err(SessionError::Poisoned { .. })
+    ));
+
+    let delta = corpus.commit();
+    let report = corpus.report();
+    for i in [0, 2] {
+        assert_eq!(
+            report.reports()[i],
+            expected.reports()[i],
+            "report {i} must be byte-identical to the fault-free run"
+        );
+    }
+    let change = delta.changes.iter().find(|c| c.handle == b).unwrap();
+    assert_eq!(change.transition(), Transition::ToViolating);
+    assert!(
+        matches!(&change.report.fault, Some(DocFault::Panic { cause }) if cause.contains("injected fault: corpus.apply")),
+        "{:?}",
+        change.report
+    );
+    assert_eq!(report.panicked_count(), 1);
+
+    // Recovery replays exactly the recorded history — the "Zed" rename,
+    // not the poisoned "Kim" batch — and the next commit heals the report.
+    let name = spec.dtd().attr_by_name("name").unwrap();
+    let verdict = corpus.recover(b).unwrap();
+    assert!(verdict.is_clean());
+    assert_eq!(verdict.edits_applied(), 1);
+    assert!(!corpus.is_poisoned(b).unwrap());
+    assert_eq!(
+        corpus.tree(b).unwrap().attr_value(NodeId(1), name),
+        Some("Zed")
+    );
+    let delta = corpus.commit();
+    let change = delta.changes.iter().find(|c| c.handle == b).unwrap();
+    assert_eq!(change.transition(), Transition::ToClean);
+    assert!(change.report.fault.is_none(), "{:?}", change.report);
+    assert_eq!(corpus.report().panicked_count(), 0);
 
     // And the document accepts edits again.
-    session.apply(h, &[set_name(&spec, "Bob")]).unwrap();
+    corpus.apply(b, &[set_name(&spec, "Kim")]).unwrap();
     assert_eq!(
-        session.tree(h).unwrap().attr_value(NodeId(1), name),
-        Some("Bob")
+        corpus.tree(b).unwrap().attr_value(NodeId(1), name),
+        Some("Kim")
     );
 }
 
@@ -215,8 +281,8 @@ fn transient_journal_io_faults_are_retried_to_success() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("retry");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
 
     // Fresh write and its sync each absorb one transient fault.
     faults::configure("journal.write", FaultMode::Nth(1));
@@ -237,8 +303,8 @@ fn transient_journal_io_faults_are_retried_to_success() {
     faults::reset();
 
     // The log the retries produced recovers into the exact live state.
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     let name = spec.dtd().attr_by_name("name").unwrap();
     assert_eq!(
         replica
@@ -255,8 +321,8 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("snap");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
 
     faults::configure("journal.snapshot_encode", FaultMode::Nth(1));
     let err = session.persist_to(h, &path).unwrap_err();
@@ -269,8 +335,8 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     // The fault fired before any byte landed, so the path is still fresh
     // and the retry persists (and recovers) normally.
     session.persist_to(h, &path).unwrap();
-    let mut replica = Session::new(&spec);
-    assert!(replica.recover_from(&path).is_ok());
+    let mut replica = CorpusSession::new(&spec);
+    assert!(replica.recover_from("a.xml", &path).is_ok());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -279,8 +345,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("exhaust");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
     session.persist_to(h, &path).unwrap();
 
     // Every retry attempt faults: the persist surfaces a structured error.
@@ -301,8 +367,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
 
     // The durable prefix is unharmed: recovery yields the pre-edit state.
     let name = spec.dtd().attr_by_name("name").unwrap();
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     assert_eq!(
         replica
             .tree(recovery.handle)
@@ -313,8 +379,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
 
     // And a later, fault-free persist catches the log up.
     session.persist_to(h, &path).unwrap();
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     assert_eq!(
         replica
             .tree(recovery.handle)
@@ -370,8 +436,8 @@ proptest! {
         let _guard = serial();
         let spec = school_spec();
         let path = temp_log(&format!("prop-{seed}-{permille}-{edits}"));
-        let mut session = Session::new(&spec);
-        let h = session.open_source(CLEAN_DOC).unwrap();
+        let mut session = CorpusSession::new(&spec);
+        let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
 
         for i in 0..edits {
@@ -397,8 +463,8 @@ proptest! {
             // the faulted attempt left behind, and recovery must replay
             // the live document exactly.
             session.persist_to(h, &path).unwrap();
-            let mut replica = Session::new(&spec);
-            let recovery = replica.recover_from(&path).unwrap();
+            let mut replica = CorpusSession::new(&spec);
+            let recovery = replica.recover_from("a.xml", &path).unwrap();
             prop_assert_eq!(
                 replica.tree(recovery.handle).unwrap().attr_value(NodeId(1), name),
                 session.tree(h).unwrap().attr_value(NodeId(1), name)

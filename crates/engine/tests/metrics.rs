@@ -129,8 +129,8 @@ fn journal_persist_and_read_record_global_counters() {
     let appended_before = before.counter("journal.records_appended").unwrap_or(0);
     let read_before = before.counter("journal.records_read").unwrap_or(0);
 
-    let mut session = xic_engine::Session::new(&spec);
-    let doc = session.open_source(CLEAN).unwrap();
+    let mut session = xic_engine::CorpusSession::new(&spec);
+    let doc = session.open_source("clean.xml", CLEAN).unwrap();
     let mut path = std::env::temp_dir();
     path.push(format!("xic-metrics-test-{}.xicj", std::process::id()));
     session.persist_to(doc, &path).unwrap();
@@ -164,11 +164,11 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "corpus.commits",
         "journal.bytes_written",
         "batch.docs",
-        "session.edits",
+        "corpus.edits",
     ] {
         assert_eq!(metrics.snapshot.counter(name), Some(0), "{name}");
     }
-    for name in ["corpus.commit_ns", "journal.persist_ns", "session.apply_ns"] {
+    for name in ["corpus.commit_ns", "journal.persist_ns", "corpus.apply_ns"] {
         assert!(metrics.snapshot.histogram(name).is_some(), "{name}");
     }
     let text = metrics.render_text();

@@ -1,14 +1,15 @@
-//! Session API: edit a live document and re-validate incrementally.
+//! Session editing: edit a live document and re-validate incrementally.
 //!
 //! The repair loop the paper's checking problem `T ⊨ Σ` runs inside in
 //! practice: load a document once, then alternate edits and re-checks until
-//! the data is clean.  A [`Session`] keeps the satisfaction indexes exact
-//! under every edit, so each re-check costs O(edit) instead of a rebuild —
-//! and it reports how many constraints it actually had to re-examine.
+//! the data is clean.  A [`CorpusSession`] keeps the satisfaction indexes
+//! exact under every edit, so each re-check ([`CorpusSession::verdict`])
+//! costs O(edit) instead of a rebuild — and it reports how many constraints
+//! it actually had to re-examine.
 //!
 //! Run with: `cargo run --example session_editing`
 
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession};
 use xml_integrity_constraints::xml::EditOp;
 
 const DTD: &str = r#"
@@ -35,8 +36,10 @@ fn main() {
     let course = spec.dtd().type_by_name("course").unwrap();
     let code = spec.dtd().attr_by_name("code").unwrap();
 
-    let mut session = Session::new(&spec);
-    let doc = session.open_source(DOC).expect("document parses");
+    let mut session = CorpusSession::new(&spec);
+    let doc = session
+        .open_source("school.xml", DOC)
+        .expect("document parses");
 
     // Two problems: a duplicate course code, and an enrolment referencing a
     // course that does not exist.
@@ -49,7 +52,7 @@ fn main() {
     // Repair 1: rename the duplicate course.  Only the constraints whose
     // slots mention course.code are re-checked.
     let dup = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    let verdict = session
+    session
         .apply(
             doc,
             &[EditOp::SetAttr {
@@ -59,6 +62,7 @@ fn main() {
             }],
         )
         .unwrap();
+    let verdict = session.verdict(doc).unwrap();
     println!("\n== after renaming the duplicate course to ml305 ==");
     println!(
         "  re-checked {} of {} constraints",
@@ -72,9 +76,10 @@ fn main() {
 
     // Break it again: removing the ml305 course re-dangles the enrolment.
     let ml305 = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    let verdict = session
+    session
         .apply(doc, &[EditOp::RemoveSubtree { element: ml305 }])
         .unwrap();
+    let verdict = session.verdict(doc).unwrap();
     println!("\n== after removing the ml305 course ==");
     for v in verdict.violations() {
         println!("  violation: {v}");

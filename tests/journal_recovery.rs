@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::constraints::Violation;
 use xml_integrity_constraints::dtd::Dtd;
 use xml_integrity_constraints::engine::journal::JournalError;
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
     primary_key_family, random_document, random_dtd, random_unary_constraints,
@@ -133,8 +133,8 @@ fn build_persisted_history(
 ) -> (Vec<u8>, Vec<PrefixState>) {
     let path = temp_path(tag);
     fs::remove_file(&path).ok();
-    let mut session = Session::new(spec);
-    let doc = session.open(tree);
+    let mut session = CorpusSession::new(spec);
+    let doc = session.open("doc", tree).unwrap();
     // Base record first: it folds 0 edits, so log prefix r ⇔ history
     // prefix r.
     session.persist_to(doc, &path).expect("fresh persist");
@@ -144,7 +144,8 @@ fn build_persisted_history(
     }];
     for i in 0..edits {
         let op = random_op(rng, spec.dtd(), session.tree(doc).unwrap());
-        let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+        session.apply(doc, std::slice::from_ref(&op)).unwrap();
+        let verdict = session.verdict(doc).unwrap();
         states.push(PrefixState {
             violations: verdict.violations().to_vec(),
             arena: session.tree(doc).unwrap().snapshot(),
@@ -173,8 +174,8 @@ fn assert_recover_or_reject(
 ) {
     let path = temp_path("probe");
     fs::write(&path, image).expect("write probe image");
-    let mut session = Session::new(spec);
-    match session.recover_from(&path) {
+    let mut session = CorpusSession::new(spec);
+    match session.recover_from("doc", &path) {
         Err(_) => {} // structured rejection: always allowed
         Ok(recovery) => {
             assert_eq!(
@@ -212,8 +213,10 @@ fn crash_inject_everywhere(spec: &CompiledSpec, bytes: &[u8], states: &[PrefixSt
     {
         let path = temp_path("full");
         fs::write(&path, bytes).unwrap();
-        let mut session = Session::new(spec);
-        let recovery = session.recover_from(&path).expect("intact log recovers");
+        let mut session = CorpusSession::new(spec);
+        let recovery = session
+            .recover_from("doc", &path)
+            .expect("intact log recovers");
         assert_eq!(recovery.ops_replayed as usize, states.len() - 1);
         assert!(!recovery.truncated_tail);
         fs::remove_file(&path).ok();
@@ -333,8 +336,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     let tree = spec
         .parse_document("<school><teacher name=\"Joe\"/><teacher name=\"Ann\"/></school>")
         .unwrap();
-    let mut session = Session::new(&spec);
-    let doc = session.open(tree);
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", tree).unwrap();
     session.persist_to(doc, &path).unwrap();
     for round in 0..4 {
         for _ in 0..6 {
@@ -352,8 +355,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
 
         // Recovery from the log reproduces the live document exactly even
         // though the in-memory journal no longer holds the history.
-        let mut recovered = Session::new(&spec);
-        let recovery = recovered.recover_from(&path).unwrap();
+        let mut recovered = CorpusSession::new(&spec);
+        let recovery = recovered.recover_from("doc", &path).unwrap();
         assert_eq!(recovery.total_edits(), 6 * (round + 1));
         assert_eq!(
             recovered.tree(recovery.handle).unwrap().snapshot(),
@@ -376,8 +379,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     session.apply(doc, std::slice::from_ref(&op)).unwrap();
     let receipt = session.persist_to(doc, &path).unwrap();
     assert!(receipt.repaired_torn_tail);
-    let mut recovered = Session::new(&spec);
-    let recovery = recovered.recover_from(&path).unwrap();
+    let mut recovered = CorpusSession::new(&spec);
+    let recovery = recovered.recover_from("doc", &path).unwrap();
     assert_eq!(recovery.total_edits(), 25);
     assert_eq!(
         recovered.tree(recovery.handle).unwrap().snapshot(),
@@ -385,9 +388,9 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     );
 
     // Compacting past the log is refused: the history would exist nowhere.
-    let mut rogue = Session::new(&spec);
+    let mut rogue = CorpusSession::new(&spec);
     let tree = spec.parse_document("<school/>").unwrap();
-    let rogue_doc = rogue.open(tree);
+    let rogue_doc = rogue.open("rogue", tree).unwrap();
     let rogue_path = temp_path("rogue");
     fs::remove_file(&rogue_path).ok();
     rogue.persist_to(rogue_doc, &rogue_path).unwrap();

@@ -10,16 +10,16 @@
 //!
 //! * the parser budget ([`xic_xml::ParseBudget`]) over proptest-drawn
 //!   random DTDs and documents,
-//! * [`Session::open_source`] / [`CorpusSession::open_source`] over the
-//!   named workload families,
-//! * edit admission ([`Session::apply`]) for the node, depth and
-//!   queued-op bounds, asserting rejection is all-or-nothing with the
-//!   batch echoed back,
+//! * [`CorpusSession::open_source`] and [`CorpusSession::open`] (pre-built
+//!   trees) over the named workload families,
+//! * edit admission ([`CorpusSession::apply`]) for the node and queued-op
+//!   bounds, asserting rejection is all-or-nothing with the batch echoed
+//!   back,
 //! * [`CorpusSession`] dirty-document backpressure.
 
 use proptest::prelude::*;
 use xml_integrity_constraints::engine::{
-    CompiledSpec, CorpusSession, LimitKind, Limits, Session, SessionError,
+    CompiledSpec, CorpusSession, LimitKind, Limits, SessionError,
 };
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
@@ -151,19 +151,19 @@ proptest! {
         let teacher = spec.dtd().type_by_name("teacher").unwrap();
 
         // `max_doc_nodes`: each AddElement costs one node.
-        let mut session = Session::new(&spec);
-        let doc = session.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let before = session.tree(doc).unwrap().num_nodes();
         let root = session.tree(doc).unwrap().root();
         let ops: Vec<EditOp> = (0..extra)
             .map(|_| EditOp::AddElement { parent: root, ty: teacher })
             .collect();
 
-        let mut tight = Session::with_limits(&spec, Limits {
+        let mut tight = CorpusSession::with_limits(&spec, Limits {
             max_doc_nodes: Some(before + extra - 1),
             ..Limits::UNLIMITED
         });
-        let doc = tight.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = tight.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let err = tight.apply(doc, &ops).expect_err("one node over the bound must reject");
         let SessionError::Resource(r) = err else {
             panic!("expected a structured resource rejection, got {err}");
@@ -178,31 +178,31 @@ proptest! {
         );
         // Exactly at the bound the same batch is admitted whole.
         tight.apply(doc, &ops).expect_err("still one over; widen first");
-        let mut exact = Session::with_limits(&spec, Limits {
+        let mut exact = CorpusSession::with_limits(&spec, Limits {
             max_doc_nodes: Some(before + extra),
             ..Limits::UNLIMITED
         });
-        let doc = exact.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = exact.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         exact.apply(doc, &ops).expect("exactly at the bound admits the batch");
         prop_assert_eq!(exact.tree(doc).unwrap().num_nodes(), before + extra);
 
         // `max_queued_ops`: bounds the batch length itself.
-        let mut queued = Session::with_limits(&spec, Limits {
+        let mut queued = CorpusSession::with_limits(&spec, Limits {
             max_queued_ops: Some(ops.len() - 1),
             ..Limits::UNLIMITED
         });
-        let doc = queued.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = queued.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let err = queued.apply(doc, &ops).expect_err("batch longer than the queue bound");
         let SessionError::Resource(r) = err else {
             panic!("expected a structured resource rejection, got {err}");
         };
         prop_assert_eq!(r.limit, LimitKind::QueuedOps);
         prop_assert_eq!(r.rejected.len(), ops.len());
-        let mut queued_ok = Session::with_limits(&spec, Limits {
+        let mut queued_ok = CorpusSession::with_limits(&spec, Limits {
             max_queued_ops: Some(ops.len()),
             ..Limits::UNLIMITED
         });
-        let doc = queued_ok.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = queued_ok.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         queued_ok.apply(doc, &ops).expect("a batch of exactly the bound is admitted");
     }
 }
@@ -218,9 +218,9 @@ fn school_spec() -> CompiledSpec {
     .expect("the school spec compiles")
 }
 
-/// The named workload families, through both session front doors: the
-/// measured cost admits, one below rejects as [`SessionError::Resource`]
-/// naming the violated limit.
+/// The named workload families, through both open paths — source text and
+/// pre-built tree: the measured cost admits, one below rejects as
+/// [`SessionError::Resource`] naming the violated limit.
 #[test]
 fn session_open_boundaries_hold_across_workload_families() {
     let families: Vec<(&str, Vec<SpecInstance>)> = vec![
@@ -260,20 +260,21 @@ fn session_open_boundaries_hold_across_workload_families() {
                 max_depth: Some(depth),
                 ..Limits::UNLIMITED
             };
-            Session::with_limits(&spec, exact)
-                .open_source(&source)
-                .unwrap_or_else(|e| panic!("{family}: exact limits must admit: {e}"));
             CorpusSession::with_limits(&spec, exact)
                 .open_source(family, &source)
                 .unwrap_or_else(|e| panic!("{family}: exact limits must admit: {e}"));
+            CorpusSession::with_limits(&spec, exact)
+                .open(family, tree.clone())
+                .unwrap_or_else(|e| panic!("{family}: exact limits must admit the tree: {e}"));
 
-            for (limits, kind) in [
+            for (limits, kind, observed) in [
                 (
                     Limits {
                         max_doc_bytes: Some(bytes - 1),
                         ..Limits::UNLIMITED
                     },
                     LimitKind::DocBytes,
+                    bytes,
                 ),
                 (
                     Limits {
@@ -281,6 +282,7 @@ fn session_open_boundaries_hold_across_workload_families() {
                         ..Limits::UNLIMITED
                     },
                     LimitKind::DocNodes,
+                    nodes,
                 ),
                 (
                     Limits {
@@ -288,16 +290,9 @@ fn session_open_boundaries_hold_across_workload_families() {
                         ..Limits::UNLIMITED
                     },
                     LimitKind::NestingDepth,
+                    depth,
                 ),
             ] {
-                let err = Session::with_limits(&spec, limits)
-                    .open_source(&source)
-                    .expect_err("one below the measured cost must reject");
-                let SessionError::Resource(r) = err else {
-                    panic!("{family}: expected a resource rejection, got {err}");
-                };
-                assert_eq!(r.limit, kind, "{family}: wrong limit named");
-
                 let err = CorpusSession::with_limits(&spec, limits)
                     .open_source(family, &source)
                     .expect_err("one below the measured cost must reject");
@@ -305,6 +300,20 @@ fn session_open_boundaries_hold_across_workload_families() {
                     panic!("{family}: expected a resource rejection, got {err}");
                 };
                 assert_eq!(r.limit, kind, "{family}: wrong limit named");
+
+                // A pre-built tree has no source bytes to meter; its node
+                // and depth bounds are exactly the parser's.
+                if kind == LimitKind::DocBytes {
+                    continue;
+                }
+                let err = CorpusSession::with_limits(&spec, limits)
+                    .open(family, tree.clone())
+                    .expect_err("one below the measured cost must reject the tree");
+                let SessionError::Resource(r) = err else {
+                    panic!("{family}: expected a resource rejection, got {err}");
+                };
+                assert_eq!(r.limit, kind, "{family}: wrong limit named for the tree");
+                assert_eq!(r.observed, observed as u64, "{family}: tree observed");
             }
             probed += 1;
         }
@@ -349,23 +358,23 @@ fn constraints_do_not_perturb_admission_boundaries() {
     };
     let source = write_document(&tree, spec.dtd());
     let nodes = tree.num_nodes();
-    Session::with_limits(
+    CorpusSession::with_limits(
         &spec,
         Limits {
             max_doc_nodes: Some(nodes),
             ..Limits::UNLIMITED
         },
     )
-    .open_source(&source)
+    .open_source("doc", &source)
     .expect("the node boundary is the document's, not the spec's");
-    let err = Session::with_limits(
+    let err = CorpusSession::with_limits(
         &spec,
         Limits {
             max_doc_nodes: Some(nodes - 1),
             ..Limits::UNLIMITED
         },
     )
-    .open_source(&source)
+    .open_source("doc", &source)
     .expect_err("one node below must reject regardless of Σ");
     assert!(
         matches!(err, SessionError::Resource(ref r) if r.limit == LimitKind::DocNodes),

@@ -1,7 +1,8 @@
-//! Differential testing of the Session API's incremental re-validation
-//! against from-scratch `DocIndex` rebuilds.
+//! Differential testing of the session's incremental re-validation against
+//! from-scratch `DocIndex` rebuilds.
 //!
-//! The contract of `xic_engine::Session` is *witness identity*: after every
+//! The contract of `xic_engine::CorpusSession::verdict` is *witness
+//! identity*: after every
 //! prefix of an arbitrary edit sequence, the incremental verdict must equal
 //! what a fresh `DocIndex` build over the edited tree reports — the same
 //! violations in the same order with the same witness nodes and values (so
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::constraints::{DocIndex, IndexPlan};
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document, random_dtd,
     random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig,
@@ -136,9 +137,9 @@ proptest! {
         };
         let plan = IndexPlan::for_set(spec.sigma());
 
-        let mut session = Session::new(&spec);
+        let mut session = CorpusSession::new(&spec);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-        let doc = session.open(tree);
+        let doc = session.open("doc", tree).unwrap();
 
         // The opening verdict must already agree.
         let verdict = session.verdict(doc).unwrap();
@@ -148,7 +149,8 @@ proptest! {
 
         for step in 0..edits {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
-            let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            let verdict = session.verdict(doc).unwrap();
             let tree = session.tree(doc).unwrap();
             let rebuilt = DocIndex::build(spec.dtd(), tree, &plan).check_all(spec.sigma());
             prop_assert_eq!(
@@ -167,8 +169,8 @@ proptest! {
         prop_assert_eq!(session.journal(doc).unwrap().len(), edits);
         let tree = session.close(doc).unwrap();
         let rebuilt = DocIndex::build(spec.dtd(), &tree, &plan).check_all(spec.sigma());
-        let mut reopened = Session::new(&spec);
-        let doc = reopened.open(tree);
+        let mut reopened = CorpusSession::new(&spec);
+        let doc = reopened.open("doc", tree).unwrap();
         let verdict = reopened.verdict(doc).unwrap();
         prop_assert_eq!(verdict.violations(), rebuilt.as_slice());
     }
@@ -202,12 +204,13 @@ fn workload_families_agree_with_rebuild_after_every_edit() {
         ) else {
             continue;
         };
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree);
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open(&label, tree).unwrap();
         let mut rng = StdRng::seed_from_u64(0xfeed ^ driven as u64);
         for step in 0..24 {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
-            let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            let verdict = session.verdict(doc).unwrap();
             let rebuilt = DocIndex::build(spec.dtd(), session.tree(doc).unwrap(), &plan)
                 .check_all(spec.sigma());
             assert_eq!(

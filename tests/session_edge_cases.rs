@@ -1,11 +1,11 @@
-//! Edge cases of the edit layer, driven through the Session API:
+//! Edge cases of the edit layer, driven through a `CorpusSession`:
 //! close/re-open with journal replay, tombstoned-subtree reads after
 //! `RemoveSubtree`, and every `EditError` variant surfacing through
-//! `Session::apply`.
+//! `CorpusSession::apply`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xml_integrity_constraints::engine::{CompiledSpec, Session, SessionError};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession, SessionError};
 use xml_integrity_constraints::xml::{write_document, EditError, EditOp, NodeId};
 
 fn school_spec() -> CompiledSpec {
@@ -42,8 +42,8 @@ fn journal_replay_reproduces_the_edited_document() {
 
     // A mixed random edit history: adds, attribute writes (some displacing,
     // some fresh), text, and removals.
-    let mut session = Session::new(&spec);
-    let doc = session.open(pristine.clone());
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", pristine.clone()).unwrap();
     let mut rng = StdRng::seed_from_u64(42);
     for step in 0..40 {
         let tree = session.tree(doc).unwrap();
@@ -120,8 +120,8 @@ fn journal_replay_reproduces_the_edited_document() {
     let edited = session.close(doc).unwrap();
 
     // Replay the ops onto the pristine copy in a fresh session.
-    let mut replayed = Session::new(&spec);
-    let doc = replayed.open(pristine);
+    let mut replayed = CorpusSession::new(&spec);
+    let doc = replayed.open("doc", pristine).unwrap();
     for op in journal.ops() {
         replayed.apply(doc, std::slice::from_ref(op)).unwrap();
     }
@@ -150,9 +150,10 @@ fn tombstoned_subtree_values_stay_readable() {
     let teacher = dtd.type_by_name("teacher").unwrap();
     let name = dtd.attr_by_name("name").unwrap();
 
-    let mut session = Session::new(&spec);
+    let mut session = CorpusSession::new(&spec);
     let doc = session
         .open_source(
+            "doc",
             "<school><teacher name=\"Joe\"><note>keep me</note></teacher>\
              <teacher name=\"Ann\"/></school>",
         )
@@ -188,7 +189,7 @@ fn tombstoned_subtree_values_stay_readable() {
     assert!(session.verdict(doc).unwrap().is_clean());
 }
 
-/// Every [`EditError`] variant surfaces through `Session::apply`, wrapped
+/// Every [`EditError`] variant surfaces through `CorpusSession::apply`, wrapped
 /// in a [`SessionError::Edit`] that reports the applied prefix.
 #[test]
 fn every_edit_error_variant_surfaces_through_apply() {
@@ -197,9 +198,12 @@ fn every_edit_error_variant_surfaces_through_apply() {
     let teacher = dtd.type_by_name("teacher").unwrap();
     let name = dtd.attr_by_name("name").unwrap();
 
-    let mut session = Session::new(&spec);
+    let mut session = CorpusSession::new(&spec);
     let doc = session
-        .open_source("<school><teacher name=\"Joe\"><note>x</note></teacher></school>")
+        .open_source(
+            "doc",
+            "<school><teacher name=\"Joe\"><note>x</note></teacher></school>",
+        )
         .unwrap();
     let tree = session.tree(doc).unwrap();
     let root = tree.root();
@@ -320,7 +324,7 @@ fn every_edit_error_variant_surfaces_through_apply() {
     // The journal on a fresh document records only *applied* ops: rejected
     // ones never enter the log.
     let doc = session
-        .open_source("<school><teacher name=\"Joe\"/></school>")
+        .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
         .unwrap();
     let root = session.tree(doc).unwrap().root();
     let _ = session
