@@ -141,11 +141,58 @@ impl ContentModel {
         }
     }
 
+    /// The same language with every nested ε written away: ε drops out
+    /// of a sequence, an alternative with ε becomes optional, and a
+    /// repetition of ε is ε.  `None` when the whole model is ε.
+    pub(crate) fn without_epsilon(&self) -> Option<ContentModel> {
+        match self {
+            ContentModel::Epsilon => None,
+            ContentModel::Text | ContentModel::Element(_) => Some(self.clone()),
+            ContentModel::Seq(a, b) => match (a.without_epsilon(), b.without_epsilon()) {
+                (Some(a), Some(b)) => Some(ContentModel::seq(a, b)),
+                (one, None) | (None, one) => one,
+            },
+            ContentModel::Alt(a, b) => match (a.without_epsilon(), b.without_epsilon()) {
+                (Some(a), Some(b)) => Some(ContentModel::alt(a, b)),
+                (Some(one), None) | (None, Some(one)) => Some(ContentModel::opt(one)),
+                (None, None) => None,
+            },
+            ContentModel::Star(a) => a.without_epsilon().map(ContentModel::star),
+            ContentModel::Plus(a) => a.without_epsilon().map(ContentModel::plus),
+            ContentModel::Opt(a) => a.without_epsilon().map(ContentModel::opt),
+        }
+    }
+
     /// Renders the model with names supplied by `name_of` (DTD-ish syntax).
+    ///
+    /// DTD syntax has no ε inside a group, so a model that is ε as a whole
+    /// renders as `EMPTY` and a nested ε is written away in the same
+    /// language (`(a | ε)` renders as `a?`).  A postfix operator on a
+    /// postfix form is parenthesised (`(a*)*`), so element content renders
+    /// as text that `parse_dtd` reads back to the same language.
     pub fn render(&self, name_of: &dyn Fn(ElemId) -> String) -> String {
+        fn postfix(
+            a: &ContentModel,
+            op: char,
+            name_of: &dyn Fn(ElemId) -> String,
+            out: &mut String,
+        ) {
+            let nested = matches!(
+                a,
+                ContentModel::Star(_) | ContentModel::Plus(_) | ContentModel::Opt(_)
+            );
+            if nested {
+                out.push('(');
+            }
+            go(a, name_of, out);
+            if nested {
+                out.push(')');
+            }
+            out.push(op);
+        }
         fn go(cm: &ContentModel, name_of: &dyn Fn(ElemId) -> String, out: &mut String) {
             match cm {
-                ContentModel::Epsilon => out.push_str("EMPTY"),
+                ContentModel::Epsilon => unreachable!("ε is written away before rendering"),
                 ContentModel::Text => out.push_str("#PCDATA"),
                 ContentModel::Element(e) => out.push_str(&name_of(*e)),
                 ContentModel::Seq(a, b) => {
@@ -162,22 +209,16 @@ impl ContentModel {
                     go(b, name_of, out);
                     out.push(')');
                 }
-                ContentModel::Star(a) => {
-                    go(a, name_of, out);
-                    out.push('*');
-                }
-                ContentModel::Plus(a) => {
-                    go(a, name_of, out);
-                    out.push('+');
-                }
-                ContentModel::Opt(a) => {
-                    go(a, name_of, out);
-                    out.push('?');
-                }
+                ContentModel::Star(a) => postfix(a, '*', name_of, out),
+                ContentModel::Plus(a) => postfix(a, '+', name_of, out),
+                ContentModel::Opt(a) => postfix(a, '?', name_of, out),
             }
         }
         let mut s = String::new();
-        go(self, name_of, &mut s);
+        match self.without_epsilon() {
+            Some(model) => go(&model, name_of, &mut s),
+            None => s.push_str("EMPTY"),
+        }
         s
     }
 }
@@ -251,6 +292,29 @@ mod tests {
         assert_eq!(three.size(), 5);
         let alts = ContentModel::alt_all([e(0), e(1)]);
         assert_eq!(alts, ContentModel::alt(e(0), e(1)));
+    }
+
+    #[test]
+    fn render_writes_nested_epsilon_away() {
+        let name = |id: ElemId| ["a", "b"][id.0 as usize].to_string();
+        let eps = || ContentModel::Epsilon;
+        assert_eq!(eps().render(&name), "EMPTY");
+        assert_eq!(ContentModel::alt(e(0), eps()).render(&name), "a?");
+        assert_eq!(ContentModel::alt(eps(), e(1)).render(&name), "b?");
+        assert_eq!(ContentModel::seq(e(0), eps()).render(&name), "a");
+        assert_eq!(
+            ContentModel::star(ContentModel::alt(e(0), eps())).render(&name),
+            "(a?)*"
+        );
+        assert_eq!(
+            ContentModel::seq(ContentModel::star(eps()), ContentModel::alt(eps(), eps()))
+                .render(&name),
+            "EMPTY"
+        );
+        assert_eq!(
+            ContentModel::star(ContentModel::star(e(0))).render(&name),
+            "(a*)*"
+        );
     }
 
     #[test]

@@ -126,8 +126,10 @@ impl Dtd {
         let mut out = String::new();
         for ty in self.types() {
             let body = match self.content(ty) {
-                ContentModel::Epsilon => "EMPTY".to_string(),
                 ContentModel::Text => "(#PCDATA)".to_string(),
+                // Decided on the model, not on its text: an element type
+                // may itself be named `EMPTY`.
+                cm if cm.without_epsilon().is_none() => "EMPTY".to_string(),
                 cm => {
                     let rendered = cm.render(&|e| self.type_name(e).to_string());
                     if rendered.starts_with('(') {

@@ -20,8 +20,9 @@
 //! * **per-document dirty tracking** — edits route through
 //!   [`CorpusSession::apply`] per [`DocHandle`] and mark only that document
 //!   dirty; [`CorpusSession::commit`] re-checks *exactly the dirty
-//!   documents* (structural `T ⊨ D` re-validation plus the incremental
-//!   `T ⊨ Σ` verdict) and serves every clean document's report from cache.
+//!   documents* (`T ⊨ D` re-validation of the elements their edits
+//!   touched plus the incremental `T ⊨ Σ` verdict) and serves every clean
+//!   document's report from cache.
 //!   The commit itself is O(dirty documents) too: corpus-wide counters are
 //!   maintained incrementally, and open-order positions are only
 //!   renumbered after a close.  Between commits,
@@ -54,7 +55,7 @@ use std::time::Instant;
 use xic_constraints::{IncrementalIndex, ShardPlan, Violation};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use xic_xml::budget::{ParseBudget, ParseError};
-use xic_xml::{EditJournal, EditOp, TreeSnapshot, ValuePool, XmlTree};
+use xic_xml::{EditEffect, EditJournal, EditOp, NodeId, TreeSnapshot, ValuePool, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
 use crate::journal::{self, JournalError, PersistReceipt};
@@ -344,6 +345,10 @@ struct CorpusInstruments {
     shard_deltas: Arc<Counter>,
     /// Distinct shards touched per commit.
     shard_touched: Arc<Histogram>,
+    /// Rechecks that re-validated the whole document (`T ⊨ D` fallback).
+    validate_full: Arc<Counter>,
+    /// Elements whose local `T ⊨ D` conditions each recheck checked.
+    validated_elements: Arc<Histogram>,
 }
 
 impl CorpusInstruments {
@@ -364,6 +369,8 @@ impl CorpusInstruments {
             shard_skipped: registry.counter("shard.skipped"),
             shard_deltas: registry.counter("shard.deltas"),
             shard_touched: registry.histogram("shard.touched"),
+            validate_full: registry.counter("corpus.validate_full"),
+            validated_elements: registry.histogram("corpus.validated_elements"),
             registry,
         }
     }
@@ -381,11 +388,51 @@ enum RecoveryBase {
     Snapshot(TreeSnapshot),
 }
 
+/// The elements whose local `T ⊨ D` conditions (Definition 2.2: children
+/// word, attribute set, value shapes) edits may have changed since the
+/// last successful recheck — what lets a commit re-validate only them.
+#[derive(Debug)]
+enum Touched {
+    /// Unknown (a fresh, recovered or quarantined document): the next
+    /// recheck validates the whole tree.
+    All,
+    /// Exactly these, possibly repeated or detached since.  Empty means
+    /// the last report's structural errors still hold verbatim.
+    Elements(Vec<NodeId>),
+}
+
+impl Touched {
+    /// Records the elements one applied edit can have changed.  Replacing
+    /// an attribute's value changes none: the attribute set and every
+    /// value's presence stay the same.
+    fn note(&mut self, tree: &XmlTree, effect: &EditEffect) {
+        let Touched::Elements(nodes) = self else {
+            return;
+        };
+        match *effect {
+            EditEffect::AttrSet {
+                element, old: None, ..
+            } => nodes.push(element),
+            EditEffect::AttrSet { .. } => {}
+            EditEffect::ElementAdded {
+                element, parent, ..
+            } => nodes.extend([parent, element]),
+            EditEffect::TextAdded { parent, .. } => nodes.push(parent),
+            // Tombstones keep their parent link.
+            EditEffect::SubtreeRemoved { root, .. } => {
+                nodes.extend(tree.parent(root));
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CorpusDoc {
     label: String,
     tree: XmlTree,
     index: IncrementalIndex,
+    /// Elements to re-validate at the next recheck.
+    touched: Touched,
     journal: EditJournal,
     /// `base` + `journal` entries reconstruct `tree`.
     base: RecoveryBase,
@@ -444,6 +491,49 @@ fn healthy(
         });
     }
     Ok(doc)
+}
+
+/// One document's structural errors (`T ⊨ D`), re-deriving as little as
+/// its touched set allows:
+///
+/// * nothing touched (value edits only): the last report's errors, verbatim;
+/// * the last report was structurally clean: if every touched live element
+///   passes its local check, still clean — no other element's conditions
+///   changed, and edits never relabel the root;
+/// * otherwise the whole tree, through [`xic_xml::Validator::validate`]:
+///   error paths are positional (`kind0[3]`), so only a full pass keeps the
+///   report byte-identical to a cold [`crate::BatchEngine`] one.
+fn revalidate(
+    validator: &xic_xml::Validator<'_>,
+    instr: &CorpusInstruments,
+    doc: &mut CorpusDoc,
+) -> Vec<String> {
+    let previous = doc.report.as_ref().map(|r| &r.validation_errors);
+    let mut checked = 0;
+    if let (Touched::Elements(nodes), Some(previous)) = (&mut doc.touched, previous) {
+        if nodes.is_empty() {
+            instr.validated_elements.record(0);
+            return previous.clone();
+        }
+        if previous.is_empty() {
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes.retain(|&n| !doc.tree.is_detached(n));
+            checked = nodes.len();
+            if validator.validate_elements(&doc.tree, nodes).is_empty() {
+                instr.validated_elements.record(checked as u64);
+                return Vec::new();
+            }
+        }
+    }
+    instr.validate_full.inc();
+    checked += doc.tree.elements().count();
+    instr.validated_elements.record(checked as u64);
+    validator
+        .validate(&doc.tree)
+        .iter()
+        .map(|e| e.to_string())
+        .collect()
 }
 
 /// A corpus-level validation session: many open documents validated against
@@ -762,6 +852,7 @@ impl<'s> CorpusSession<'s> {
                 label,
                 tree,
                 index,
+                touched: Touched::All,
                 durable_edits: journal.total_recorded(),
                 journal,
                 base,
@@ -874,6 +965,14 @@ impl<'s> CorpusSession<'s> {
         }));
         // Only fully-recorded ops count as applied, panic or not.
         let applied = doc.journal.total_recorded() - recorded_before;
+        // A panicked batch quarantines the document instead; `recover`
+        // then marks it for whole-document validation.
+        if caught.is_ok() {
+            let first = (recorded_before - doc.journal.folded()) as usize;
+            for (_, effect) in &doc.journal.entries()[first..] {
+                doc.touched.note(&doc.tree, effect);
+            }
+        }
         self.instr.edits.add(applied);
         self.queued_ops += applied as usize;
         self.instr.queued_ops.add(applied as i64);
@@ -934,6 +1033,7 @@ impl<'s> CorpusSession<'s> {
         doc.index =
             IncrementalIndex::with_layout(Arc::clone(self.spec.incremental_layout()), &tree);
         doc.tree = tree;
+        doc.touched = Touched::All;
         doc.poisoned = None;
         if !self.dirty.contains(&handle.raw()) {
             self.dirty.push(handle.raw());
@@ -1062,12 +1162,21 @@ impl<'s> CorpusSession<'s> {
         Ok(doc.tree)
     }
 
-    /// Re-checks exactly the dirty documents (structural `T ⊨ D` plus the
-    /// incrementally maintained `T ⊨ Σ`) and returns the diff against the
-    /// previous commit.  Clean documents cost nothing — their reports are
-    /// cached from the commit that produced them, the corpus-wide counters
-    /// are maintained incrementally, and open-order positions are
-    /// renumbered only when a close shifted them.
+    /// Re-checks exactly the dirty documents and returns the diff against
+    /// the previous commit.  Both halves of the verdict are incremental:
+    /// `T ⊨ Σ` recomputes only the constraints the edits dirtied, and
+    /// `T ⊨ D` re-validates only the elements they touched (an element
+    /// that gained an attribute, a child or lost a subtree, and every new
+    /// element).  Value-only edits reuse the previous structural errors;
+    /// a structurally clean document whose touched elements all pass stays
+    /// clean; anything else — a touched element fails, the document already
+    /// had structural errors, or it is fresh, recovered or was quarantined
+    /// — falls back to validating the whole tree, so reports stay
+    /// byte-identical to a cold [`crate::BatchEngine`] run.  Clean
+    /// documents cost nothing — their reports are cached from the commit
+    /// that produced them, the corpus-wide counters are maintained
+    /// incrementally, and open-order positions are renumbered only when a
+    /// close shifted them.
     ///
     /// Ignores [`Limits::deadline`] — a plain `commit` always runs the
     /// dirty set to completion.  Use [`CorpusSession::try_commit`] for the
@@ -1174,6 +1283,7 @@ impl<'s> CorpusSession<'s> {
                     let outcome = Self::recheck_contained(
                         self.spec,
                         &validator,
+                        &self.instr,
                         doc,
                         self.shard_scope.as_ref(),
                     );
@@ -1306,14 +1416,18 @@ impl<'s> CorpusSession<'s> {
     /// The trailing `bool` reports whether the index-rebuild path ran: a
     /// rebuilt index recomputed *every* constraint, so the change must be
     /// broadcast to all shards rather than tagged with the edit's dirty set.
+    /// The touched set is cleared only after a check succeeds, so a retry
+    /// or a later commit never reuses errors that were not re-derived.
     fn recheck_contained(
         spec: &CompiledSpec,
         validator: &xic_xml::Validator<'_>,
+        instr: &CorpusInstruments,
         doc: &mut CorpusDoc,
         scope: Option<&ShardScope>,
     ) -> (Vec<String>, Vec<Violation>, Option<DocFault>, bool) {
         fn run(
             validator: &xic_xml::Validator<'_>,
+            instr: &CorpusInstruments,
             doc: &mut CorpusDoc,
             scope: Option<&ShardScope>,
         ) -> (Vec<String>, Vec<Violation>) {
@@ -1323,18 +1437,15 @@ impl<'s> CorpusSession<'s> {
             if xic_telemetry::faults::hit("corpus.recheck") {
                 panic!("injected fault: corpus.recheck");
             }
-            let validation_errors: Vec<String> = validator
-                .validate(&doc.tree)
-                .iter()
-                .map(|e| e.to_string())
-                .collect();
+            let validation_errors = revalidate(validator, instr, doc);
             let violations = match scope {
                 Some(s) => doc.index.check_all_where(&doc.tree, |i| s.keep[i]),
                 None => doc.index.check_all(&doc.tree),
             };
+            doc.touched = Touched::Elements(Vec::new());
             (validation_errors, violations)
         }
-        let first = catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope)));
+        let first = catch_unwind(AssertUnwindSafe(|| run(validator, instr, doc, scope)));
         match first {
             Ok((errors, violations)) => (errors, violations, None, false),
             Err(payload) => {
@@ -1342,11 +1453,14 @@ impl<'s> CorpusSession<'s> {
                 let cause = crate::batch::panic_cause(payload);
                 doc.index =
                     IncrementalIndex::with_layout(Arc::clone(spec.incremental_layout()), &doc.tree);
-                match catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope))) {
+                match catch_unwind(AssertUnwindSafe(|| run(validator, instr, doc, scope))) {
                     Ok((errors, violations)) => (errors, violations, None, true),
                     Err(payload) => {
                         crate::batch::resilience_instruments().0.inc();
                         let retry_cause = crate::batch::panic_cause(payload);
+                        // The fault report carries no structural errors to
+                        // reuse: re-validate everything once it heals.
+                        doc.touched = Touched::All;
                         (
                             Vec::new(),
                             Vec::new(),
@@ -1535,6 +1649,82 @@ mod tests {
         assert_eq!((delta.total, delta.clean), (1, 1));
         assert!(corpus.tree(b).is_err());
         let _ = a;
+    }
+
+    /// Each edit kind marks the elements whose local conditions it can
+    /// break: an element the parent rejects, text where none is allowed,
+    /// an undeclared attribute and the removal of a required child are all
+    /// caught from a structurally clean report — by falling back to a whole
+    /// validation whose report equals a cold rebuild — while an edit that
+    /// keeps the document valid checks only the touched elements.
+    #[test]
+    fn each_edit_kind_revalidates_the_elements_it_touched() {
+        let spec = CompiledSpec::from_sources(
+            "<!ELEMENT school (teacher+, note*)>\n\
+             <!ELEMENT teacher EMPTY>\n\
+             <!ELEMENT note EMPTY>\n\
+             <!ATTLIST teacher name CDATA #REQUIRED>",
+            Some("school"),
+            "teacher.name -> teacher",
+        )
+        .unwrap();
+        let (root, teacher) = (NodeId(0), NodeId(1));
+        let note = spec.dtd().type_by_name("note").unwrap();
+        let name = spec.dtd().attr_by_name("name").unwrap();
+        let cases: [(EditOp, usize); 5] = [
+            (
+                EditOp::AddElement {
+                    parent: root,
+                    ty: note,
+                },
+                0,
+            ),
+            (
+                EditOp::AddElement {
+                    parent: teacher,
+                    ty: note,
+                },
+                1,
+            ),
+            (
+                EditOp::AddText {
+                    parent: root,
+                    value: "x".into(),
+                },
+                1,
+            ),
+            (
+                EditOp::SetAttr {
+                    element: root,
+                    attr: name,
+                    value: "x".into(),
+                },
+                1,
+            ),
+            (EditOp::RemoveSubtree { element: teacher }, 1),
+        ];
+        for (op, errors) in cases {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut corpus = CorpusSession::with_registry(&spec, Arc::clone(&registry));
+            let h = corpus
+                .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
+                .unwrap();
+            corpus.commit();
+            corpus.apply(h, std::slice::from_ref(&op)).unwrap();
+            corpus.commit();
+            let report = corpus.report();
+            let cold =
+                BatchEngine::new(1).validate_trees(&spec, &[("a.xml", corpus.tree(h).unwrap())]);
+            assert_eq!(report, cold, "{op:?}");
+            assert_eq!(
+                report.reports()[0].validation_errors.len(),
+                errors,
+                "{op:?}"
+            );
+            let snapshot = registry.snapshot();
+            let full = snapshot.counter("corpus.validate_full");
+            assert_eq!(full, Some(1 + errors as u64), "{op:?}");
+        }
     }
 
     /// A violating document that trades one violation for another stays

@@ -29,6 +29,7 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "compile.specs",
         "corpus.commits",
         "corpus.edits",
+        "corpus.validate_full",
         "corpus.violations_added",
         "corpus.violations_removed",
         "incremental.builds",
@@ -68,6 +69,7 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "corpus.commit_ns",
         "corpus.delta_changes",
         "corpus.recheck_ns",
+        "corpus.validated_elements",
         "incremental.build_ns",
         "index.build_ns",
         "journal.persist_ns",

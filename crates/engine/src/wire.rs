@@ -740,15 +740,27 @@ pub fn read_request_monotonic(
     }
 }
 
-/// Writes one response frame.  Delta responses carry the commit's own
-/// sequence number; everything else echoes the request's.
-pub fn write_response(w: &mut impl Write, seq: u64, resp: &Response) -> io::Result<()> {
+/// Appends one response frame to `buf`.  Delta responses carry the
+/// commit's own sequence number; everything else echoes the request's.
+/// The frames of a multi-frame reply (a sync's deltas and its end marker)
+/// are collected into a buffer and written together, so the transport
+/// does not hold a trailing frame back waiting for the peer's
+/// acknowledgement.
+pub fn frame_response(buf: &mut Vec<u8>, seq: u64, resp: &Response) {
     let (tag, payload) = encode_response(resp);
     let seq = match resp {
         Response::Delta(delta) => delta.seq,
         _ => seq,
     };
-    write_frame(w, seq, tag, &payload)
+    frame_record(buf, seq, tag, &payload);
+}
+
+/// Writes one response frame (see [`frame_response`]).
+pub fn write_response(w: &mut impl Write, seq: u64, resp: &Response) -> io::Result<()> {
+    let mut buf = Vec::new();
+    frame_response(&mut buf, seq, resp);
+    w.write_all(&buf)?;
+    w.flush()
 }
 
 /// Reads one response frame (`Ok(None)`: clean end of stream).

@@ -15,13 +15,15 @@
 #![cfg(feature = "faults")]
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use proptest::prelude::*;
 use xic_engine::{
-    BatchDoc, BatchEngine, CompiledSpec, CorpusSession, DocFault, Engine, SessionError, Transition,
+    BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusSession, DocFault, Engine,
+    SessionError, Transition,
 };
 use xic_telemetry::faults::{self, FaultMode};
+use xic_telemetry::MetricsRegistry;
 use xic_xml::{EditOp, NodeId};
 
 const SCHOOL_DTD: &str = "<!ELEMENT school (teacher*)>\n\
@@ -274,6 +276,111 @@ fn corpus_recheck_panic_retries_then_quarantines_then_heals() {
     let change = delta.changes.iter().find(|c| c.handle == h).unwrap();
     assert!(change.report.fault.is_none(), "{:?}", change.report);
     assert!(corpus.report().reports()[0].is_clean());
+}
+
+/// A cold `validate_trees` over the corpus's current trees.
+fn cold_rebuild(spec: &CompiledSpec, corpus: &CorpusSession<'_>) -> BatchReport {
+    let docs: Vec<_> = corpus
+        .handles()
+        .map(|h| (corpus.label(h).unwrap(), corpus.tree(h).unwrap()))
+        .collect();
+    BatchEngine::new(1).validate_trees(spec, &docs)
+}
+
+/// Whole-document `T ⊨ D` validations the corpus has run so far.
+fn full_validations(corpus: &CorpusSession<'_>) -> u64 {
+    let snapshot = corpus.registry().snapshot();
+    snapshot.counter("corpus.validate_full").unwrap_or(0)
+}
+
+/// The incremental `T ⊨ D` path never reuses structural errors a failed
+/// recheck did not derive: a retried recheck after a structure-breaking
+/// edit, and a value-only edit after a quarantining recheck, both report
+/// exactly what a cold rebuild does.
+#[test]
+fn recheck_panics_never_leave_stale_structural_errors() {
+    let _guard = serial();
+    let spec = school_spec();
+    let mut corpus = CorpusSession::with_registry(&spec, Arc::new(MetricsRegistry::new()));
+    let h = corpus.open_source("a.xml", CLEAN_DOC).unwrap();
+    corpus.commit();
+    let root = corpus.tree(h).unwrap().root();
+
+    // Text under `school` breaks its content model; the first recheck
+    // attempt panics and the retry must still derive the error.
+    corpus
+        .apply(
+            h,
+            &[EditOp::AddText {
+                parent: root,
+                value: "stray".into(),
+            }],
+        )
+        .unwrap();
+    faults::configure("corpus.recheck", FaultMode::Nth(1));
+    quiet_panics(|| corpus.commit());
+    faults::disarm("corpus.recheck");
+    let report = corpus.report();
+    assert_eq!(report, cold_rebuild(&spec, &corpus));
+    assert_eq!(report.reports()[0].validation_errors.len(), 1);
+
+    // A quarantining recheck (both attempts panic) reports a fault with no
+    // structural errors; the following value-only edit must re-derive
+    // them instead of reusing the fault report's empty list.
+    corpus.apply(h, &[set_name(&spec, "Bob")]).unwrap();
+    faults::configure(
+        "corpus.recheck",
+        FaultMode::Probability {
+            seed: 1,
+            permille: 1000,
+        },
+    );
+    quiet_panics(|| corpus.commit());
+    faults::disarm("corpus.recheck");
+    assert_eq!(corpus.report().panicked_count(), 1);
+    corpus.apply(h, &[set_name(&spec, "Eve")]).unwrap();
+    corpus.commit();
+    let report = corpus.report();
+    assert_eq!(report, cold_rebuild(&spec, &corpus));
+    assert_eq!(report.reports()[0].validation_errors.len(), 1);
+}
+
+/// After a contained `corpus.apply` panic, `recover` rebuilds the tree, so
+/// the next commit validates the whole document instead of reusing the
+/// structural errors of the last report — even when every edit recorded
+/// since that report only replaced a value.
+#[test]
+fn commit_after_recover_validates_the_whole_document() {
+    let _guard = serial();
+    let spec = school_spec();
+    let mut corpus = CorpusSession::with_registry(&spec, Arc::new(MetricsRegistry::new()));
+    let h = corpus.open_source("a.xml", CLEAN_DOC).unwrap();
+    let root = corpus.tree(h).unwrap().root();
+    let teacher = spec.dtd().type_by_name("teacher").unwrap();
+    // A teacher without `name`: one structural error, committed.
+    corpus
+        .apply(
+            h,
+            &[EditOp::AddElement {
+                parent: root,
+                ty: teacher,
+            }],
+        )
+        .unwrap();
+    corpus.commit();
+    corpus.apply(h, &[set_name(&spec, "Ann")]).unwrap();
+    faults::configure("corpus.apply", FaultMode::Nth(1));
+    let err = quiet_panics(|| corpus.apply(h, &[set_name(&spec, "Kim")])).unwrap_err();
+    faults::disarm("corpus.apply");
+    assert!(matches!(err, SessionError::Poisoned { .. }), "{err}");
+
+    corpus.recover(h).unwrap();
+    let before = full_validations(&corpus);
+    corpus.commit();
+    assert_eq!(full_validations(&corpus), before + 1);
+    let report = corpus.report();
+    assert_eq!(report, cold_rebuild(&spec, &corpus));
+    assert_eq!(report.reports()[0].validation_errors.len(), 1);
 }
 
 #[test]

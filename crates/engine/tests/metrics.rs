@@ -92,6 +92,11 @@ fn corpus_session_records_commit_metrics_on_its_registry() {
     assert_eq!(recheck.count, 3, "two opens + one re-check");
     let delta_changes = snapshot.histogram("corpus.delta_changes").unwrap();
     assert_eq!(delta_changes.count, 2);
+    // The opens validated their whole trees (3 elements each); the value
+    // edit reused a's structural errors and checked no element.
+    assert_eq!(snapshot.counter("corpus.validate_full"), Some(2));
+    let validated = snapshot.histogram("corpus.validated_elements").unwrap();
+    assert_eq!((validated.count, validated.sum), (3, 6));
 }
 
 #[test]
@@ -165,10 +170,16 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "journal.bytes_written",
         "batch.docs",
         "corpus.edits",
+        "corpus.validate_full",
     ] {
         assert_eq!(metrics.snapshot.counter(name), Some(0), "{name}");
     }
-    for name in ["corpus.commit_ns", "journal.persist_ns", "corpus.apply_ns"] {
+    for name in [
+        "corpus.commit_ns",
+        "journal.persist_ns",
+        "corpus.apply_ns",
+        "corpus.validated_elements",
+    ] {
         assert!(metrics.snapshot.histogram(name).is_some(), "{name}");
     }
     let text = metrics.render_text();

@@ -15,13 +15,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xic_engine::wire::{
-    read_request_monotonic, write_response, Request, Response, WireError, WireFault, WIRE_VERSION,
+    frame_response, read_request_monotonic, write_response, Request, Response, WireError,
+    WireFault, WIRE_VERSION,
 };
 use xic_engine::{journal, CompiledSpec, Engine, Limits};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::actor::{self, Cmd, Offer, SessionHandle};
 use crate::validate_session_name;
+
+/// Largest run of encoded sync frames held before it is written out.
+const SYNC_CHUNK: usize = 64 * 1024;
 
 /// How long to run the service and under what bounds.
 #[derive(Debug, Clone)]
@@ -426,6 +430,10 @@ fn accept_tcp(listener: TcpListener, shared: &Shared, conn_tx: &SyncSender<Conn>
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
+                // Replies are whole frames written at once: sending them
+                // without Nagle's delay is what the client expects (it
+                // sets no-delay on its side too).
+                let _ = stream.set_nodelay(true);
                 if conn_tx.send(Conn::Tcp(stream)).is_err() {
                     return;
                 }
@@ -846,13 +854,23 @@ fn handle_request(
                                 .collect()
                         }
                     };
+                    // The reply's frames (N deltas and the end marker) are
+                    // coalesced into writes of up to SYNC_CHUNK bytes, so a
+                    // short reply leaves in one write and a long one never
+                    // holds a second, encoded copy of the whole history.
                     let count = deltas.len() as u64;
+                    let mut reply = Vec::new();
                     for delta in deltas {
-                        if !respond(conn, &Response::Delta(delta)) {
-                            return false;
+                        frame_response(&mut reply, seq, &Response::Delta(delta));
+                        if reply.len() >= SYNC_CHUNK {
+                            if conn.write_all(&reply).is_err() {
+                                return false;
+                            }
+                            reply.clear();
                         }
                     }
-                    respond(conn, &Response::DeltaEnd { count })
+                    frame_response(&mut reply, seq, &Response::DeltaEnd { count });
+                    conn.write_all(&reply).and_then(|()| conn.flush()).is_ok()
                 }
                 Err(fault) => respond(conn, &Response::Error(fault)),
             }

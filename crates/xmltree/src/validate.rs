@@ -162,6 +162,22 @@ impl<'d> Validator<'d> {
         errors
     }
 
+    /// Checks the local conditions of the given elements only — each one's
+    /// children word, attribute set and value shapes, exactly as
+    /// [`Validator::validate`] checks every element — collecting their
+    /// violations in the order given.  Validity is a conjunction of these
+    /// per-element conditions plus the root label, so after an edit that
+    /// cannot relabel the root, re-checking the elements it touched decides
+    /// whether a tree that was valid still is.  Non-element ids are
+    /// skipped.
+    pub fn validate_elements(&self, tree: &XmlTree, nodes: &[NodeId]) -> Vec<ValidationError> {
+        let mut errors = Vec::new();
+        for &node in nodes {
+            self.validate_element(tree, node, &mut errors);
+        }
+        errors
+    }
+
     /// Returns `true` iff the tree is valid with respect to the DTD.
     pub fn is_valid(&self, tree: &XmlTree) -> bool {
         self.validate(tree).is_empty()
@@ -369,6 +385,28 @@ mod tests {
         let errors = validate(&t, &dtd);
         let msg = errors[0].to_string();
         assert!(msg.contains("teachers"), "{msg}");
+    }
+
+    #[test]
+    fn validating_every_element_is_validating_the_tree_below_its_root() {
+        let dtd = example_d1();
+        let mut t = d1_tree(&dtd);
+        let v = Validator::new(&dtd);
+        let all: Vec<NodeId> = t.elements().collect();
+        assert!(v.validate_elements(&t, &all).is_empty());
+
+        // Break one element: only it reports, and the whole-tree errors
+        // are exactly the per-element ones.
+        let teach = dtd.type_by_name("teach").unwrap();
+        let subject = dtd.type_by_name("subject").unwrap();
+        let teach_node = t.ext(teach).next().unwrap();
+        let extra = t.add_element(teach_node, subject);
+        let all: Vec<NodeId> = t.elements().collect();
+        assert_eq!(v.validate_elements(&t, &all), v.validate(&t));
+        assert_eq!(v.validate_elements(&t, &[teach_node]).len(), 1);
+        // No `taught_by` and no text child.
+        assert_eq!(v.validate_elements(&t, &[extra]).len(), 2);
+        assert!(v.validate_elements(&t, &[t.root()]).is_empty());
     }
 
     #[test]

@@ -24,16 +24,31 @@
 //! labels closed since the last commit, and a `rechecked_docs` equal to the
 //! number of documents touched since the last commit.
 //!
+//! Every step commits one random op and then one more batch: two times in
+//! three a **validity-preserving batch** — append a type the parent's
+//! content model accepts at the end, with every required attribute (and a
+//! text child when its own model needs one) in the same batch, or remove
+//! such an appended element again — otherwise such a complete element
+//! appended where the parent's model rejects it, so only the parent
+//! fails.  Commits thus exercise both the incremental `T ⊨ D`
+//! path (only touched elements re-validated) and its whole-document
+//! fallback; the `corpus.validate_full` counter and
+//! `corpus.validated_elements` histogram prove the incremental path ran.
+//!
 //! The generated specs come both from `random_dtd`/`random_unary_constraints`
 //! (the proptest half) and from the named `xic-gen` workload families
 //! (`primary_key_family`, `keys_only_family`, `fixed_dtd_growing_sigma`), so
 //! the suite is not limited to hand-written fixtures.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xic_telemetry::MetricsRegistry;
 use xml_integrity_constraints::constraints::Violation;
-use xml_integrity_constraints::dtd::Dtd;
+use xml_integrity_constraints::dtd::{ChildSymbol, Dtd, ElemId, Glushkov};
 use xml_integrity_constraints::engine::{
     BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusSession, DocHandle,
 };
@@ -105,6 +120,118 @@ fn random_op(rng: &mut StdRng, dtd: &Dtd, tree: &XmlTree) -> EditOp {
         parent: tree.root(),
         ty: types[0],
     }
+}
+
+/// The child word of `node`, as its content model reads it.
+fn child_word(tree: &XmlTree, node: NodeId) -> Vec<ChildSymbol> {
+    tree.children(node)
+        .iter()
+        .map(|&c| match tree.element_type(c) {
+            Some(ty) => ChildSymbol::Element(ty),
+            None => ChildSymbol::Text,
+        })
+        .collect()
+}
+
+/// A validity-preserving batch against one document, or `None` when the
+/// DTD admits none here: either remove an element an earlier
+/// [`append_batch`] added (when its parent's content model accepts the
+/// shorter word), or append an element its parent's model accepts.
+/// Applied to a valid document, the result is valid, so its commit can
+/// stay on the incremental path.
+fn preserving_batch(
+    rng: &mut StdRng,
+    dtd: &Dtd,
+    tree: &XmlTree,
+    appended: &mut Vec<NodeId>,
+) -> Option<Vec<EditOp>> {
+    appended.retain(|&n| !tree.is_detached(n));
+    if !appended.is_empty() && rng.gen_bool(0.3) {
+        let node = appended[rng.gen_range(0..appended.len())];
+        let parent = tree.parent(node).expect("appended under a parent");
+        let mut word = child_word(tree, parent);
+        let at = tree.children(parent).iter().position(|&c| c == node);
+        word.remove(at.expect("a live child is listed under its parent"));
+        let model = Glushkov::new(dtd.content(tree.element_type(parent).unwrap()));
+        if model.matches(&word) {
+            appended.retain(|&n| n != node);
+            return Some(vec![EditOp::RemoveSubtree { element: node }]);
+        }
+    }
+    append_batch(rng, dtd, tree, appended, true)
+}
+
+/// Appends, at the end of some element, a complete new element — every
+/// required attribute, plus a text child when its own model needs one —
+/// of a type the parent's content model accepts there (`fits`) or rejects
+/// (`!fits`, so only the parent fails).  `None` when no such pair exists.
+/// The new element's id joins `appended`.
+fn append_batch(
+    rng: &mut StdRng,
+    dtd: &Dtd,
+    tree: &XmlTree,
+    appended: &mut Vec<NodeId>,
+    fits: bool,
+) -> Option<Vec<EditOp>> {
+    let automata: HashMap<ElemId, Glushkov> = dtd
+        .types()
+        .map(|ty| (ty, Glushkov::new(dtd.content(ty))))
+        .collect();
+    let accepts = |ty: ElemId, word: &[ChildSymbol]| automata[&ty].matches(word);
+    let mut options = Vec::new();
+    for parent in tree.elements() {
+        let mut word = child_word(tree, parent);
+        word.push(ChildSymbol::Text);
+        for ty in dtd.types() {
+            let needs_text = if accepts(ty, &[]) {
+                false
+            } else if accepts(ty, &[ChildSymbol::Text]) {
+                true
+            } else {
+                continue;
+            };
+            *word.last_mut().unwrap() = ChildSymbol::Element(ty);
+            if accepts(tree.element_type(parent).unwrap(), &word) == fits {
+                options.push((parent, ty, needs_text));
+            }
+        }
+    }
+    if options.is_empty() {
+        return None;
+    }
+    let (parent, ty, needs_text) = options[rng.gen_range(0..options.len())];
+    // Arena ids are allocated in order: the new element takes the next one.
+    let element = NodeId((0u32..).find(|&k| !tree.contains(NodeId(k))).unwrap());
+    appended.push(element);
+    let mut ops = vec![EditOp::AddElement { parent, ty }];
+    ops.extend(dtd.attrs_of(ty).iter().map(|&attr| EditOp::SetAttr {
+        element,
+        attr,
+        value: format!("val{}", rng.gen_range(0..4u32)),
+    }));
+    if needs_text {
+        ops.push(EditOp::AddText {
+            parent: element,
+            value: "appended".into(),
+        });
+    }
+    Some(ops)
+}
+
+/// Rechecks whose `T ⊨ D` half did not fall back to validating the whole
+/// document, read from the corpus's own (private) registry.
+fn incremental_rechecks(corpus: &CorpusSession) -> u64 {
+    let snapshot = corpus.registry().snapshot();
+    let rechecks = snapshot
+        .histogram("corpus.validated_elements")
+        .map_or(0, |h| h.count);
+    rechecks - snapshot.counter("corpus.validate_full").unwrap_or(0)
+}
+
+/// A corpus recording into a registry of its own, so counter reads are
+/// not disturbed by tests running in parallel.
+fn private_corpus(spec: &CompiledSpec) -> CorpusSession<'_> {
+    CorpusSession::with_registry(spec, Arc::new(MetricsRegistry::new()))
 }
 
 /// The scan-order-free projection of a violation: the constraint it
@@ -183,17 +310,31 @@ fn assert_serialized_rebuild_agrees(
     }
 }
 
-/// Drives `edits` interleaved random edits over an open corpus, committing
-/// after every one and checking verdicts + delta contents against the cold
-/// oracles and a report-replica model (the model a subscriber applying the
-/// delta stream would maintain).  Returns how many commits changed some
-/// document's report (so callers can assert the workload was non-trivial).
+/// Which edit batches [`drive_and_check`] commits at each step.
+#[derive(Clone, Copy, PartialEq)]
+enum Script {
+    /// One [`random_op`], then one more batch against a fresh victim: a
+    /// [`preserving_batch`] two times in three, otherwise a complete
+    /// element its parent rejects ([`append_batch`]).
+    Mixed,
+    /// One [`preserving_batch`] only.
+    Preserving,
+}
+
+/// Drives `edits` steps of interleaved edit batches (see [`Script`]) over
+/// an open corpus, committing after every batch and checking verdicts +
+/// delta contents against the cold oracles and a report-replica model (the
+/// model a subscriber applying the delta stream would maintain).  A random
+/// op stands in for a batch kind that has no candidate.  Returns how many
+/// commits changed some document's report (so callers can assert the
+/// workload was non-trivial).
 fn drive_and_check(
     spec: &CompiledSpec,
     corpus: &mut CorpusSession,
     handles: &[DocHandle],
     rng: &mut StdRng,
     edits: usize,
+    script: Script,
 ) -> usize {
     // Initial commit admits every opened document into the delta stream.
     let delta = corpus.commit();
@@ -206,12 +347,24 @@ fn drive_and_check(
     // The subscriber's replica: last delivered report per document.
     let mut replica: Vec<_> = resident.reports().to_vec();
     let mut changed_commits = 0;
+    let mut appended = vec![Vec::new(); handles.len()];
 
-    for step in 0..edits {
+    // Round 0 (mixed steps only) commits the random op, round 1 the batch.
+    let first_round = if script == Script::Mixed { 0 } else { 1 };
+    let rounds = (0..edits).flat_map(|step| (first_round..2).map(move |round| (step, round)));
+    for (step, round) in rounds {
         let victim = rng.gen_range(0..handles.len());
         let handle = handles[victim];
-        let op = random_op(rng, spec.dtd(), corpus.tree(handle).unwrap());
-        corpus.apply(handle, std::slice::from_ref(&op)).unwrap();
+        let tree = corpus.tree(handle).unwrap();
+        let batch = if round == 0 {
+            None
+        } else if script == Script::Preserving || rng.gen_bool(2.0 / 3.0) {
+            preserving_batch(rng, spec.dtd(), tree, &mut appended[victim])
+        } else {
+            append_batch(rng, spec.dtd(), tree, &mut appended[victim], false)
+        };
+        let ops = batch.unwrap_or_else(|| vec![random_op(rng, spec.dtd(), tree)]);
+        corpus.apply(handle, &ops).unwrap();
         let delta = corpus.commit();
 
         // Oracle #1: witness-exact equality with a resident-tree rebuild.
@@ -219,23 +372,23 @@ fn drive_and_check(
         assert_eq!(
             &corpus.report(),
             &resident,
-            "diverged at step {step} after {op:?}"
+            "diverged at step {step}.{round} after {ops:?}"
         );
 
         // The delta model: exactly one doc was rechecked; it appears in
         // `changes` iff its report differs from the last delivered one
         // (clean-state flips AND violating→violating content changes), so
         // applying the stream keeps the replica identical to report().
-        assert_eq!(delta.rechecked_docs, 1, "step {step}");
+        assert_eq!(delta.rechecked_docs, 1, "step {step}.{round}");
         assert!(delta.closed.is_empty());
         let fresh = &resident.reports()[victim];
         if fresh == &replica[victim] {
             assert!(
                 delta.is_empty(),
-                "step {step}: report unchanged, delta must be empty"
+                "step {step}.{round}: report unchanged, delta must be empty"
             );
         } else {
-            assert_eq!(delta.changes.len(), 1, "step {step}");
+            assert_eq!(delta.changes.len(), 1, "step {step}.{round}");
             let change = &delta.changes[0];
             assert_eq!(change.handle, handle);
             assert_eq!(change.was_clean, Some(replica[victim].is_clean()));
@@ -245,12 +398,16 @@ fn drive_and_check(
             changed_commits += 1;
         }
         // The replica reconstructed from deltas alone matches the truth.
-        assert_eq!(replica.as_slice(), resident.reports(), "step {step}");
+        assert_eq!(
+            replica.as_slice(),
+            resident.reports(),
+            "step {step}.{round}"
+        );
         assert_eq!(delta.total, handles.len());
         assert_eq!(
             delta.clean,
             replica.iter().filter(|r| r.is_clean()).count(),
-            "step {step}"
+            "step {step}.{round}"
         );
     }
 
@@ -324,7 +481,7 @@ proptest! {
             return Ok(()); // unsatisfiable DTD: nothing to open
         };
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-        drive_and_check(&spec, &mut corpus, &handles, &mut rng, edits);
+        drive_and_check(&spec, &mut corpus, &handles, &mut rng, edits, Script::Mixed);
 
         // Closing a document surfaces in the next delta and the next report.
         let victim = handles[0];
@@ -353,6 +510,7 @@ fn workload_families_agree_with_cold_rebuilds() {
         ("fixed_dtd", fixed_dtd_growing_sigma(5, &[4, 8], 13)),
     ];
     let mut driven = 0usize;
+    let mut incremental = 0u64;
     for (family, instances) in families {
         for instance in instances {
             let label = format!("{family}/{}", instance.label);
@@ -360,12 +518,13 @@ fn workload_families_agree_with_cold_rebuilds() {
                 Ok(spec) => spec,
                 Err(_) => continue, // Ψ(D,Σ) rejected the instance
             };
-            let mut corpus = CorpusSession::new(&spec);
+            let mut corpus = private_corpus(&spec);
             let Some(handles) = open_random_docs(&spec, &mut corpus, 17, 3) else {
                 continue;
             };
             let mut rng = StdRng::seed_from_u64(0xc0ffee ^ driven as u64);
-            drive_and_check(&spec, &mut corpus, &handles, &mut rng, 20);
+            drive_and_check(&spec, &mut corpus, &handles, &mut rng, 20, Script::Mixed);
+            incremental += incremental_rechecks(&corpus);
             driven += 1;
             let _ = label;
         }
@@ -374,4 +533,52 @@ fn workload_families_agree_with_cold_rebuilds() {
         driven >= 4,
         "the workload families must actually exercise the differential (drove {driven})"
     );
+    assert!(
+        incremental > 0,
+        "some commits must re-validate only the touched elements"
+    );
+}
+
+/// Validity-preserving batches alone never leave the incremental `T ⊨ D`
+/// path: after the opening commit no recheck validates a whole document,
+/// yet every report still equals a cold rebuild (checked inside
+/// `drive_and_check`).  All-starred layered DTDs always admit an append.
+#[test]
+fn validity_preserving_batches_revalidate_only_touched_elements() {
+    for seed in 0..6u64 {
+        let dtd = random_dtd(&DtdGenConfig {
+            seed,
+            num_types: 5,
+            star_probability: 1.0,
+            ..Default::default()
+        });
+        let sigma = random_unary_constraints(
+            &dtd,
+            &ConstraintGenConfig {
+                keys: 1,
+                foreign_keys: 1,
+                seed,
+                ..Default::default()
+            },
+        );
+        let spec = CompiledSpec::compile(dtd, sigma).expect("layered specs compile");
+        let mut corpus = private_corpus(&spec);
+        let handles = open_random_docs(&spec, &mut corpus, seed, 3).expect("satisfiable");
+        let mut rng = StdRng::seed_from_u64(seed);
+        drive_and_check(
+            &spec,
+            &mut corpus,
+            &handles,
+            &mut rng,
+            30,
+            Script::Preserving,
+        );
+        let snapshot = corpus.registry().snapshot();
+        assert_eq!(
+            snapshot.counter("corpus.validate_full"),
+            Some(handles.len() as u64),
+            "seed {seed}: only the opening commit validates whole documents"
+        );
+        assert_eq!(incremental_rechecks(&corpus), 30, "seed {seed}");
+    }
 }

@@ -11,7 +11,7 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -352,6 +352,84 @@ fn restart_from_drained_logs_serves_identical_reports() {
     );
     server.stop();
     fs::remove_dir_all(&state_dir).ok();
+}
+
+/// A sync reply of several frames goes out in one write (up to 64 KiB
+/// of frames) on a no-delay socket.  Written frame by frame under Nagle's algorithm, every frame
+/// after the first waited for the client's delayed acknowledgement
+/// (≈ 40 ms on Linux loopback), so these 50 syncs took about 2 s.
+#[test]
+fn multi_delta_syncs_do_not_stall() {
+    let (spec, server) = tcp_server(ServerConfig::default());
+    let addr = server.tcp_addr().unwrap();
+    let mut client = Client::connect_tcp(addr, spec.id(), "syncs").expect("connect");
+    let handle = client.open_doc("doc.xml", &doc_source(0)).expect("open");
+    let mut seen = client.commit().expect("commit").seq;
+    let name = spec.dtd().attr_by_name("name").unwrap();
+    let mut syncing = Duration::ZERO;
+    for round in 0..50 {
+        for k in 0..2 {
+            let rename = EditOp::SetAttr {
+                element: NodeId(1),
+                attr: name,
+                value: format!("r{round}k{k}"),
+            };
+            client.apply(handle, &[rename]).expect("apply");
+            client.commit().expect("commit");
+        }
+        let started = Instant::now();
+        let deltas = client.sync(seen).expect("sync");
+        syncing += started.elapsed();
+        assert_eq!(deltas.len(), 2, "round {round}");
+        seen = deltas[1].seq;
+    }
+    assert!(
+        syncing < Duration::from_secs(1),
+        "50 two-delta syncs took {syncing:?}"
+    );
+    server.stop();
+}
+
+/// A sync reply too long for one coalesced write goes out in several and
+/// arrives whole, in order, frame for frame.
+#[test]
+fn long_sync_replies_arrive_whole() {
+    const COMMITS: usize = 1500;
+    let (spec, server) = tcp_server(ServerConfig::default());
+    let addr = server.tcp_addr().unwrap();
+    let mut client = Client::connect_tcp(addr, spec.id(), "long").expect("connect");
+    let handle = client.open_doc("doc.xml", &doc_source(0)).expect("open");
+    client.commit().expect("commit");
+    let name = spec.dtd().attr_by_name("name").unwrap();
+    // The first teacher alternately duplicates the second's key and
+    // restores its own, so every delta carries the document's report.
+    for k in 1..=COMMITS {
+        let value = if k % 2 == 1 { "t0b" } else { "t0a" };
+        let rename = EditOp::SetAttr {
+            element: NodeId(1),
+            attr: name,
+            value: value.into(),
+        };
+        client.apply(handle, &[rename]).expect("apply");
+        client.commit().expect("commit");
+    }
+    let deltas = client.sync(0).expect("sync");
+    assert_eq!(deltas.len(), COMMITS + 1);
+    let mut framed = Vec::new();
+    for (k, delta) in deltas.iter().enumerate() {
+        assert_eq!(delta.seq, k as u64 + 1);
+        if k > 0 {
+            assert_eq!(delta.changes.len(), 1, "delta {k}");
+            assert_eq!(delta.changes[0].now_clean(), k % 2 == 0, "delta {k}");
+        }
+        wire::frame_response(&mut framed, 0, &wire::Response::Delta(delta.clone()));
+    }
+    assert!(
+        framed.len() > 2 * 64 * 1024,
+        "the reply must span several writes ({} bytes)",
+        framed.len()
+    );
+    server.stop();
 }
 
 /// Shutdown under load: whatever a client saw acknowledged is in the
